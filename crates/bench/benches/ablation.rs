@@ -3,7 +3,7 @@
 //! * α-count vs. naive consecutive-failure counting (cost per judgement);
 //! * guardian on vs. off (cost of temporal isolation);
 //! * diagnostic-network budget (symptom flood handling);
-//! * fleet parallel scaling (rayon vs. sequential).
+//! * fleet parallel scaling on the `fleet_exec` executor.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use decos::diagnosis::{DiagnosticNetwork, Subject, Symptom, SymptomKind};
@@ -88,7 +88,7 @@ fn bench_fleet_scaling(c: &mut Criterion) {
     let spec = fig10::reference_spec();
     for &vehicles in &[4u64, 16] {
         g.throughput(Throughput::Elements(vehicles));
-        g.bench_with_input(BenchmarkId::new("rayon", vehicles), &vehicles, |b, &v| {
+        g.bench_with_input(BenchmarkId::new("fleet_exec", vehicles), &vehicles, |b, &v| {
             b.iter(|| {
                 let cfg = FleetConfig { vehicles: v, rounds: 400, accel: 10.0, seed: 7 };
                 std::hint::black_box(run_fleet(&spec, cfg))

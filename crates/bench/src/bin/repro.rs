@@ -287,7 +287,10 @@ fn run_fleet_scale(
         }
         Err(e) => {
             eprintln!("fleet failed: {e}");
-            std::process::exit(exitcode::FAILURE);
+            std::process::exit(match e {
+                CampaignError::Rejected(_) => exitcode::SPEC_REJECTED,
+                CampaignError::Spec(_) => exitcode::FAILURE,
+            });
         }
     }
 }

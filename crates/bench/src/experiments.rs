@@ -5,6 +5,7 @@
 
 use decos::diagnosis::{ConfusionMatrix, Subject, SymptomDetectors};
 use decos::faults::{campaign, FaultClass, FaultEnvironment, FaultKind, FaultSpec, FruRef};
+use decos::fleet_exec::{default_shards, map_ordered};
 use decos::prelude::*;
 use decos::reliability::{
     empirical_hazard, fleet_failure_rates, AlphaCount, AlphaParams, BathtubModel,
@@ -12,7 +13,6 @@ use decos::reliability::{
 use decos::sim::rng::SampleExt as _;
 use decos::sim::SeedSource;
 use rand::RngExt as _;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -184,25 +184,29 @@ pub struct EClassQuality {
 
 fn classify_campaigns(
     label: &str,
-    cases: Vec<(ClusterSpec, Vec<FaultSpec>, f64, u64)>,
+    cases: &[(ClusterSpec, Vec<FaultSpec>, f64, u64)],
     classes: &[FaultClass],
 ) -> EClassQuality {
-    let outcomes: Vec<(FaultClass, Option<FaultClass>)> = cases
-        .into_par_iter()
-        .enumerate()
-        .map(|(i, (spec, faults, accel, rounds))| {
+    let outcomes: Vec<(FaultClass, Option<FaultClass>)> =
+        map_ordered(cases.len() as u64, default_shards(), |i| {
+            let (spec, faults, accel, rounds) = &cases[i as usize];
             let truth_fru = faults.first().map(|f| f.target);
             let truth_class =
                 faults.first().map(|f| f.class()).unwrap_or(FaultClass::JobBorderline);
-            let c = Campaign { spec, faults, accel, rounds, seed: 9_000 + i as u64 };
+            let c = Campaign {
+                spec: spec.clone(),
+                faults: faults.clone(),
+                accel: *accel,
+                rounds: *rounds,
+                seed: 9_000 + i,
+            };
             let out = run_campaign(&c).expect("valid spec");
             let predicted = truth_fru
                 .or(Some(FruRef::Job(fig10::jobs::C3)))
                 .and_then(|f| out.report.verdict_of(f))
                 .and_then(|v| v.class);
             (truth_class, predicted)
-        })
-        .collect();
+        });
     let mut confusion = ConfusionMatrix::new();
     let mut per_class: BTreeMap<FaultClass, (u64, u64)> = BTreeMap::new();
     for (t, p) in &outcomes {
@@ -280,7 +284,7 @@ pub fn e3_component(effort: Effort) -> EClassQuality {
     }
     classify_campaigns(
         "E3 — component fault model (Fig. 4): external / borderline / internal",
-        cases,
+        &cases,
         &[
             FaultClass::ComponentExternal,
             FaultClass::ComponentBorderline,
@@ -315,7 +319,7 @@ pub fn e4_job(effort: Effort) -> EClassQuality {
     }
     classify_campaigns(
         "E4 — job fault model (Fig. 5): borderline / software / transducer",
-        cases,
+        &cases,
         &[
             FaultClass::JobBorderline,
             FaultClass::JobInherentSoftware,
@@ -346,13 +350,10 @@ pub fn e5_bathtub(effort: Effort) -> E5Bathtub {
     let units = effort.scale(300_000);
     let model = BathtubModel::automotive_ecu();
     let seeds = SeedSource::new(5);
-    let lifetimes: Vec<f64> = (0..units)
-        .into_par_iter()
-        .map(|i| {
-            let mut rng = seeds.stream("bathtub", i);
-            model.sample_failure_hours(&mut rng).hours
-        })
-        .collect();
+    let lifetimes: Vec<f64> = map_ordered(units, default_shards(), |i| {
+        let mut rng = seeds.stream("bathtub", i);
+        model.sample_failure_hours(&mut rng).hours
+    });
     let hpy = 365.25 * 24.0;
     let horizon = 25.0 * hpy;
     let series = empirical_hazard(&lifetimes, horizon, 50);
@@ -979,13 +980,10 @@ pub fn e10_assumptions(effort: Effort) -> E10Assumptions {
     let model = BathtubModel::automotive_ecu();
     let seeds = SeedSource::new(7);
     let n = effort.scale(200_000);
-    let lifetimes: Vec<f64> = (0..n)
-        .into_par_iter()
-        .map(|i| {
-            let mut rng = seeds.stream("fleet10", i);
-            model.sample_failure_hours(&mut rng).hours
-        })
-        .collect();
+    let lifetimes: Vec<f64> = map_ordered(n, default_shards(), |i| {
+        let mut rng = seeds.stream("fleet10", i);
+        model.sample_failure_hours(&mut rng).hours
+    });
     let rates = fleet_failure_rates(&lifetimes, 10);
     let plateau: f64 = rates.per_million_per_year[2..6].iter().sum::<f64>() / 4.0;
     rows.push((
@@ -1150,9 +1148,8 @@ pub fn e13_service_loop(effort: Effort) -> E13ServiceLoop {
     let seeds = SeedSource::new(1313);
 
     let run_strategy = |strategy: Strategy, label: &str| -> ServiceStats {
-        let histories: Vec<decos::workshop::ServiceHistory> = (0..vehicles)
-            .into_par_iter()
-            .map(|i| {
+        let histories: Vec<decos::workshop::ServiceHistory> =
+            map_ordered(vehicles, default_shards(), |i| {
                 let (vspec, faults) = campaign::sample_mixed_fault(&spec, seeds, i);
                 service_loop(
                     vspec,
@@ -1165,8 +1162,7 @@ pub fn e13_service_loop(effort: Effort) -> E13ServiceLoop {
                     5,
                 )
                 .expect("valid spec")
-            })
-            .collect();
+            });
         let resolved: Vec<&decos::workshop::ServiceHistory> =
             histories.iter().filter(|h| h.resolved).collect();
         // Mean visits among vehicles that actually needed the workshop.
@@ -1418,14 +1414,14 @@ pub fn e14_diag_degradation(effort: Effort) -> E14Degradation {
         }
     };
 
-    let loss_sweep: Vec<DegradationPoint> = (0..levels.len())
-        .into_par_iter()
-        .map(|i| run_point(levels[i], 0.0, 1_400 + i as u64))
-        .collect();
-    let corruption_sweep: Vec<DegradationPoint> = (0..levels.len())
-        .into_par_iter()
-        .map(|i| run_point(0.0, levels[i], 1_500 + i as u64))
-        .collect();
+    let loss_sweep: Vec<DegradationPoint> =
+        map_ordered(levels.len() as u64, default_shards(), |i| {
+            run_point(levels[i as usize], 0.0, 1_400 + i)
+        });
+    let corruption_sweep: Vec<DegradationPoint> =
+        map_ordered(levels.len() as u64, default_shards(), |i| {
+            run_point(0.0, levels[i as usize], 1_500 + i)
+        });
 
     // Soundness under a fully severed path: both the total-loss and the
     // total-corruption endpoint must flag degradation, recommend nothing,

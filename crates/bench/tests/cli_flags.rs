@@ -49,3 +49,26 @@ fn storeless_campaign_is_still_a_usage_error() {
     let out = repro(&["campaign"]);
     assert_eq!(out.status.code(), Some(2));
 }
+
+#[test]
+fn rejected_sampled_vehicle_exits_spec_rejected() {
+    // One round is too short for the job-borderline pattern, so the first
+    // sampled job-borderline vehicle is rejected: exit 3, not a panic.
+    let out = repro(&["fleet", "--vehicles", "200", "--rounds", "1", "--shards", "1"]);
+    assert_eq!(out.status.code(), Some(3), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("UncoveredFaultClass"), "stderr names the rejection: {err}");
+    assert!(!err.contains("panicked"), "no worker panic: {err}");
+}
+
+#[test]
+fn rejected_sampled_vehicle_in_a_stored_fleet_exits_spec_rejected() {
+    let dir = std::env::temp_dir().join(format!("decos-cli-rejected-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let dir_s = dir.to_str().expect("utf-8 temp dir");
+    let out = repro(&["fleet", "--store", dir_s, "--vehicles", "200", "--rounds", "1"]);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(out.status.code(), Some(3), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(!err.contains("panicked"), "no worker panic: {err}");
+}

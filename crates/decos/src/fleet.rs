@@ -445,14 +445,61 @@ pub fn run_fleet_with_params(
 
 /// Runs a fleet with explicit engine parameters and [`FleetOptions`]
 /// (telemetry, fleet-wide base faults, shard count, retention).
+///
+/// A sampled vehicle the analyzer rejects fails the fleet with that
+/// vehicle's [`CampaignError`]; when several fail, the lowest index wins,
+/// for any shard count.
 pub fn run_fleet_configured(
     spec: &ClusterSpec,
     cfg: FleetConfig,
     params: EngineParams,
     opts: &FleetOptions,
 ) -> Result<FleetOutcome, CampaignError> {
-    // Pre-flight: the base vehicle (before per-vehicle fault sampling)
-    // must analyze clean, otherwise every vehicle would fail identically.
+    preflight(spec, &cfg, &params, opts)?;
+    let seeds = SeedSource::new(cfg.seed);
+    let shards = opts.shards.unwrap_or_else(fleet_exec::default_shards).max(1);
+    // A shard stops at its first failing vehicle. Blocks are dealt in
+    // ascending order, so a block a stopped shard skips lies above that
+    // shard's failure: the lowest failure over all shards is the fleet's
+    // lowest failing index.
+    let parts = fleet_exec::run_sharded(
+        cfg.vehicles,
+        FLEET_BLOCK,
+        shards,
+        || (FleetAccumulator::new(cfg.vehicles, opts.retain), None),
+        |(acc, failed): &mut (FleetAccumulator, Option<(u64, CampaignError)>), range| {
+            for v in range {
+                if failed.is_some() {
+                    return;
+                }
+                match run_vehicle(spec, cfg, seeds, v, params, opts) {
+                    Ok((outcome, telemetry)) => acc.record(v, outcome, telemetry),
+                    Err(e) => *failed = Some((v, e)),
+                }
+            }
+        },
+    );
+    let mut parts = parts.into_iter();
+    let (mut acc, mut failed) = parts.next().expect("run_sharded returns at least one shard");
+    for (part, part_failed) in parts {
+        acc.merge(part);
+        failed = failed.into_iter().chain(part_failed).min_by_key(|&(v, _)| v);
+    }
+    match failed {
+        Some((_, e)) => Err(e),
+        None => Ok(acc.finish()),
+    }
+}
+
+/// The fleet pre-flight, shared by the storeless and the stored fleet: the
+/// base vehicle (before per-vehicle fault sampling) must analyze clean,
+/// otherwise every vehicle would fail identically.
+pub(crate) fn preflight(
+    spec: &ClusterSpec,
+    cfg: &FleetConfig,
+    params: &EngineParams,
+    opts: &FleetOptions,
+) -> Result<(), CampaignError> {
     let mut base = ExperimentSpec::with_campaign(spec, &opts.base_faults, cfg.accel, cfg.rounds);
     base.ona = params.ona;
     base.trust = params.trust;
@@ -464,34 +511,11 @@ pub fn run_fleet_configured(
     {
         return Err(CampaignError::Rejected(report));
     }
-    let seeds = SeedSource::new(cfg.seed);
-    let shards = opts.shards.unwrap_or_else(default_shards).max(1);
-    let parts = fleet_exec::run_sharded(
-        cfg.vehicles,
-        FLEET_BLOCK,
-        shards,
-        || FleetAccumulator::new(cfg.vehicles, opts.retain),
-        |acc, range| {
-            for v in range {
-                let (outcome, telemetry) = run_vehicle(spec, cfg, seeds, v, params, opts);
-                acc.record(v, outcome, telemetry);
-            }
-        },
-    );
-    let mut parts = parts.into_iter();
-    let mut acc = parts.next().expect("run_sharded returns at least one shard");
-    for part in parts {
-        acc.merge(part);
-    }
-    Ok(acc.finish())
+    Ok(())
 }
 
-/// One executor shard per available core (the per-vehicle simulations are
-/// CPU-bound and independent).
-fn default_shards() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
+/// Simulates and scores vehicle `index`; a sampled campaign the analyzer
+/// rejects comes back as its [`CampaignError`].
 pub(crate) fn run_vehicle(
     spec: &ClusterSpec,
     cfg: FleetConfig,
@@ -499,7 +523,7 @@ pub(crate) fn run_vehicle(
     index: u64,
     params: EngineParams,
     opts: &FleetOptions,
-) -> (VehicleOutcome, Option<TelemetrySnapshot>) {
+) -> Result<(VehicleOutcome, Option<TelemetrySnapshot>), CampaignError> {
     let (vspec, mut faults) = decos_faults::campaign::sample_mixed_fault(spec, seeds, index);
     // Primary-fault convention (asserted on `sample_mixed_fault`): every
     // sampled spec in the vec manifests the *same* ground-truth defect —
@@ -525,8 +549,7 @@ pub(crate) fn run_vehicle(
         seed: seeds.child(index).master(),
     };
     let run_opts = RunOptions { telemetry: opts.telemetry, flightrec: false, ..Default::default() };
-    let out = run_campaign_opts(&campaign, params, run_opts, &mut [], |_, _, _| {})
-        .expect("sampled campaign passes the pre-flight analysis");
+    let out = run_campaign_opts(&campaign, params, run_opts, &mut [], |_, _, _| {})?;
 
     let decos_actions = out.report.actions();
     let decos_class = out.report.verdict_of(truth_fru).and_then(|v| v.class);
@@ -537,7 +560,7 @@ pub(crate) fn run_vehicle(
         .map(|n| (FruRef::Component(*n), MaintenanceAction::ReplaceComponent))
         .collect();
 
-    (
+    Ok((
         VehicleOutcome {
             truth_class,
             truth_fru,
@@ -550,7 +573,7 @@ pub(crate) fn run_vehicle(
             crashed_rounds: out.report.crashed_rounds,
         },
         out.telemetry,
-    )
+    ))
 }
 
 #[cfg(test)]
@@ -618,6 +641,25 @@ mod tests {
         assert_eq!(a.class_correct, b.class_correct);
         assert_eq!(a.mean_delivery_quality, b.mean_delivery_quality);
         assert_eq!(a.degraded_vehicles, b.degraded_vehicles);
+    }
+
+    #[test]
+    fn a_rejected_fleet_reports_its_lowest_failing_vehicle() {
+        // One round is too short for some sampled classes' patterns.
+        let spec = fig10::reference_spec();
+        let cfg = FleetConfig { vehicles: 2 * FLEET_BLOCK, rounds: 1, accel: 10.0, seed: 10 };
+        let (seeds, params) = (SeedSource::new(cfg.seed), EngineParams::default());
+        let opts = FleetOptions::default();
+        let rejection =
+            |v| run_vehicle(&spec, cfg, seeds, v, params, &opts).err().map(|e| e.to_string());
+        let lowest = (0..FLEET_BLOCK).find_map(rejection).expect("the first block has a rejection");
+        let second = (FLEET_BLOCK..cfg.vehicles).find_map(rejection).expect("so does the second");
+        assert_ne!(lowest, second, "the seed must tell the two blocks' rejections apart");
+        for shards in [1, 2] {
+            let opts = FleetOptions { shards: Some(shards), ..FleetOptions::default() };
+            let err = run_fleet_configured(&spec, cfg, params, &opts).expect_err("rejected");
+            assert_eq!(err.to_string(), lowest, "at {shards} shards");
+        }
     }
 
     /// A synthetic outcome with an index-dependent quality so float-order

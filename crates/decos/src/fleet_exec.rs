@@ -1,14 +1,17 @@
-//! Sharded work-stealing execution over a dense index space.
+//! Sharded work-stealing execution over a dense index space — the one
+//! parallel executor of the workspace.
 //!
-//! The fleet path needs two properties the vendored rayon stand-in's
-//! static contiguous split cannot give it at 10⁶ vehicles:
+//! Two entry points share one dispatcher:
 //!
-//! 1. **Streaming aggregation** — a shard folds each finished item into
-//!    its own accumulator immediately instead of materializing a
-//!    fleet-sized `Vec` of per-item results.
-//! 2. **Work stealing** — shards pull fixed-size index *blocks* from a
-//!    shared atomic cursor, so a straggler block (an expensive vehicle)
-//!    idles one shard for one block, not a whole contiguous range.
+//! 1. [`run_sharded`] — **streaming aggregation**: a shard folds each
+//!    finished item into its own accumulator immediately instead of
+//!    materializing a `Vec` of per-item results. Shards pull fixed-size
+//!    index *blocks* from a shared atomic cursor (**work stealing**), so a
+//!    straggler block (an expensive vehicle) idles one shard for one
+//!    block, not a whole contiguous range. The storeless fleet runs here.
+//! 2. [`map_ordered`] — an index-ordered parallel map returning `Vec<R>`
+//!    for the bounded batches that need every result: stored-fleet
+//!    batches (journaled in index order) and the experiment sweeps.
 //!
 //! Determinism contract: blocks are dealt in ascending order and each
 //! block is processed front-to-back by exactly one shard, so the set of
@@ -73,6 +76,35 @@ where
             .collect();
         handles.into_iter().map(|h| h.join().expect("fleet shard panicked")).collect()
     })
+}
+
+/// Maps `f` over `0..items` on `shards` worker threads and returns the
+/// results in index order, whatever the shard count.
+///
+/// The index space is split contiguously into `items.div_ceil(shards)`-
+/// sized blocks, at most one per shard, and the blocks are reassembled by
+/// their start index, so the order in which shards finish never shows.
+pub fn map_ordered<R, F>(items: u64, shards: usize, f: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(u64) -> R + Sync,
+{
+    let block = items.div_ceil(shards.max(1) as u64);
+    let mut blocks: Vec<(u64, Vec<R>)> =
+        run_sharded(items, block, shards, Vec::new, |acc: &mut Vec<(u64, Vec<R>)>, r| {
+            acc.push((r.start, r.map(&f).collect()));
+        })
+        .into_iter()
+        .flatten()
+        .collect();
+    blocks.sort_unstable_by_key(|&(start, _)| start);
+    blocks.into_iter().flat_map(|(_, results)| results).collect()
+}
+
+/// One executor shard per available core (the per-item work is CPU-bound
+/// and independent).
+pub fn default_shards() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 #[cfg(test)]
@@ -154,5 +186,43 @@ mod tests {
             &vec![0],
             "work stealing must let the free shard take the remaining blocks"
         );
+    }
+
+    #[test]
+    fn map_ordered_keeps_index_order_past_a_straggler() {
+        // 64 items on four shards make four 16-index blocks. Index 0 waits
+        // until the last block reaches its end (index 63), so the first
+        // block cannot finish first; the output must still start with it.
+        let meet = std::sync::Barrier::new(2);
+        let out = map_ordered(64, 4, |i| {
+            if i == 0 || i == 63 {
+                meet.wait();
+            }
+            i * i
+        });
+        assert_eq!(out, (0..64).map(|i| i * i).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn map_ordered_of_nothing_is_empty() {
+        assert!(map_ordered(0, 4, |i| i).is_empty());
+    }
+
+    #[test]
+    fn map_ordered_with_fewer_items_than_shards_covers_every_item() {
+        for items in 1..=4 {
+            assert_eq!(map_ordered(items, 8, |i| i + 1), (1..=items).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn map_ordered_with_one_more_item_than_shards_keeps_the_remainder() {
+        for shards in [1, 2, 3, 8] {
+            let items = shards as u64 + 1;
+            assert_eq!(
+                map_ordered(items, shards, |i| 2 * i),
+                (0..items).map(|i| 2 * i).collect::<Vec<_>>()
+            );
+        }
     }
 }

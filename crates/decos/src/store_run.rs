@@ -16,12 +16,13 @@
 //!
 //! A fleet resume is cheaper: vehicles are independent, so committed
 //! vehicle records are *skipped* outright (their outcomes are read back
-//! from the journal) and only missing vehicles are simulated. Both kinds
-//! stream through the same [`FleetAccumulator`] the in-memory executor
-//! uses, folded in ascending vehicle-index order behind a watermark — so
-//! the resumed aggregate (including its one order-sensitive float sum) is
-//! bit-identical to the uninterrupted run's, and resident memory stays
-//! bounded even for 10⁶-vehicle fleets.
+//! from the journal) and only the rest is simulated. Vehicles are
+//! journaled in ascending batches, so the committed set is always a prefix
+//! `0..k`: the resume folds `0..k` from the journal into the same
+//! [`FleetAccumulator`] the in-memory executor uses, then simulates and
+//! folds `k..n` — ascending vehicle-index order throughout, so the resumed
+//! aggregate (including its one order-sensitive float sum) is
+//! bit-identical to the uninterrupted run's.
 //!
 //! # What guards the journal
 //!
@@ -32,10 +33,12 @@
 //! simulation or journal mutation.
 
 use crate::fleet::{
-    run_vehicle, FleetAccumulator, FleetConfig, FleetOptions, FleetOutcome, VehicleOutcome,
+    preflight, run_vehicle, FleetAccumulator, FleetConfig, FleetOptions, FleetOutcome,
+    VehicleOutcome,
 };
+use crate::fleet_exec;
 use crate::runner::{run_campaign_opts, Campaign, CampaignError, CampaignOutcome, RunOptions};
-use decos_analyzer::{analyze, AnalysisReport, DiagCode, Diagnostic, ExperimentSpec, Severity};
+use decos_analyzer::{AnalysisReport, DiagCode, Diagnostic, Severity};
 use decos_diagnosis::{DiagnosticEngine, DiagnosticReport, DisseminationStats, EngineParams};
 use decos_platform::ClusterSpec;
 use decos_sim::rng::SeedSource;
@@ -44,9 +47,7 @@ use decos_store::{
     fnv1a, fnv1a_extend, Manifest, RoundDelta, Store, StoreError, StoreIo, ROUND_DELTA_KIND,
     STORE_SCHEMA, VEHICLE_KIND,
 };
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Manifest `kind` for single-campaign stores.
 pub const CAMPAIGN_KIND: &str = "campaign";
@@ -69,8 +70,9 @@ pub struct StorePolicy {
     /// round is a commit point; larger trades durability window for
     /// throughput).
     pub sync_every: u64,
-    /// Fleet: vehicles simulated per parallel batch between journal
-    /// commits — a crash loses at most one batch.
+    /// Fleet: vehicles per batch between journal commits — a crash loses
+    /// at most one batch. Each batch is simulated by
+    /// [`fleet_exec::map_ordered`] on [`FleetOptions::shards`] workers.
     pub chunk: usize,
 }
 
@@ -529,10 +531,11 @@ pub struct FleetSnapshot {
     pub journal_fingerprint: u64,
 }
 
-/// An open fleet store: journaled vehicle records by index.
+/// An open fleet store: the journaled vehicle records `0..k`, record `i`
+/// being vehicle `i`.
 pub struct FleetStore<IO: StoreIo> {
     store: Store<IO>,
-    committed: BTreeMap<u64, VehicleRecord>,
+    committed: Vec<VehicleRecord>,
     fingerprint: u64,
 }
 
@@ -575,13 +578,14 @@ impl<IO: StoreIo> FleetStore<IO> {
         if store.manifest().spec_hash != hash {
             return Err(spec_mismatch_rejection(hash, store.manifest().spec_hash).into());
         }
-        let mut committed = BTreeMap::new();
+        let mut committed = Vec::with_capacity(store.records().len());
         let mut fingerprint = fnv1a(b"decos-store-fleet");
-        for rec in store.records() {
-            if rec.kind != VEHICLE_KIND {
+        for (i, rec) in store.records().iter().enumerate() {
+            if rec.kind != VEHICLE_KIND || rec.round != i as u64 || rec.seq != i as u64 {
                 return Err(StoreError::Corrupt(format!(
-                    "fleet journal carries a kind-{} record",
-                    rec.kind
+                    "journal record {i} is (kind {}, vehicle {}, seq {}); expected a vehicle \
+                     record for vehicle {i} — committed history has a gap",
+                    rec.kind, rec.round, rec.seq
                 ))
                 .into());
             }
@@ -597,7 +601,7 @@ impl<IO: StoreIo> FleetStore<IO> {
                 .into());
             }
             fingerprint = fnv1a_extend(fingerprint, &rec.payload);
-            committed.insert(vr.vehicle, vr);
+            committed.push(vr);
         }
         Ok(FleetStore { store, committed, fingerprint })
     }
@@ -633,10 +637,11 @@ fn snapshot_from_counters(counters: &[CounterValue]) -> TelemetrySnapshot {
     TelemetrySnapshot::assemble(&set, &GaugeSet::new(), &Spans::default())
 }
 
-/// Runs (or resumes) a fleet against its store. Committed vehicles are
-/// read back from the journal and skipped; missing vehicles are simulated
-/// in parallel batches of [`StorePolicy::chunk`], each batch committed
-/// with one fsync.
+/// Runs (or resumes) a fleet against its store. The committed prefix
+/// `0..k` is read back from the journal and skipped; vehicles `k..n` are
+/// simulated in batches of [`StorePolicy::chunk`], each batch committed
+/// with one fsync. A rejected sampled vehicle fails the run with the
+/// rejection of the lowest failing index; earlier batches stay committed.
 pub fn run_fleet_stored<IO: StoreIo>(
     spec: &ClusterSpec,
     cfg: FleetConfig,
@@ -647,91 +652,51 @@ pub fn run_fleet_stored<IO: StoreIo>(
 ) -> Result<(FleetOutcome, StoreRunStats), StoreRunError> {
     // Same pre-flight the unstored fleet runs: the base experiment must
     // analyze clean before any vehicle is simulated or journaled.
-    let mut base = ExperimentSpec::with_campaign(spec, &opts.base_faults, cfg.accel, cfg.rounds);
-    base.ona = params.ona;
-    base.trust = params.trust;
-    base.advisor = params.advisor;
-    let report = analyze(&base);
-    if report.has_errors()
-        || (opts.deny_diagnosability
-            && report.diagnostics.iter().any(|d| d.code.is_diagnosability()))
-    {
-        return Err(CampaignError::Rejected(report).into());
-    }
+    preflight(spec, &cfg, &params, opts)?;
+    let committed = fs.committed_vehicles();
     let mut stats = StoreRunStats {
-        committed_before: fs.committed_vehicles(),
+        committed_before: committed,
         quarantined_bytes: fs.store.stats().quarantined_bytes,
         ..StoreRunStats::default()
     };
     let seeds = SeedSource::new(cfg.seed);
-    let missing: Vec<u64> = (0..cfg.vehicles).filter(|v| !fs.committed.contains_key(v)).collect();
-    let chunk = policy.chunk.max(1);
-    // Streaming fold: journaled and freshly simulated vehicles both drain
-    // into the same accumulator the in-memory executor uses, strictly in
-    // ascending index order behind the `next` watermark. `pending` only
-    // ever holds the not-yet-drainable part of one batch, so resident
-    // memory stays bounded regardless of fleet size.
+    let shards = opts.shards.unwrap_or_else(fleet_exec::default_shards);
+    // Streaming fold behind a prefix watermark: the journaled prefix first
+    // (reused outright — the compute a resume saves), then each fresh batch
+    // once it is journaled and synced, so the accumulator never gets ahead
+    // of the crash-consistent prefix it summarizes.
     let mut acc = FleetAccumulator::new(cfg.vehicles, opts.retain);
-    let mut next: u64 = 0;
-    let mut pending: BTreeMap<u64, (VehicleOutcome, Option<TelemetrySnapshot>)> = BTreeMap::new();
-    let drain = |acc: &mut FleetAccumulator,
-                 pending: &mut BTreeMap<u64, (VehicleOutcome, Option<TelemetrySnapshot>)>,
-                 next: &mut u64,
-                 verified: &mut u64| {
-        while *next < cfg.vehicles {
-            if let Some((outcome, telemetry)) = pending.remove(next) {
-                acc.record(*next, outcome, telemetry);
-            } else if let Some(vr) = fs.committed.get(next) {
-                // Reused straight from the journal — the compute a resume
-                // saves.
-                *verified += 1;
-                acc.record(
-                    *next,
-                    vr.outcome.clone(),
-                    vr.counters.as_deref().map(snapshot_from_counters),
-                );
-            } else {
-                break;
-            }
-            *next += 1;
-        }
-    };
-    for batch in missing.chunks(chunk) {
-        let results: Vec<(u64, (VehicleOutcome, Option<TelemetrySnapshot>))> = batch
-            .to_vec()
-            .into_par_iter()
-            .map(|v| (v, run_vehicle(spec, cfg, seeds, v, params, opts)))
-            .collect();
-        // Journal in index order within the batch; out-of-order *across*
-        // batches cannot happen because `missing` is sorted and batches
-        // are committed in sequence — but a resumed store whose committed
-        // set is a non-prefix subset (crash mid-batch plus manual edits)
-        // could demand interleaved indices. `Store::append` enforces
-        // monotonicity, so such a store is rejected rather than silently
-        // reordered.
-        for (v, (outcome, telemetry)) in &results {
+    for (v, vr) in (0..cfg.vehicles).zip(&fs.committed) {
+        acc.record(v, vr.outcome.clone(), vr.counters.as_deref().map(snapshot_from_counters));
+        stats.verified += 1;
+    }
+    let chunk = policy.chunk.max(1);
+    for lo in (committed..cfg.vehicles).step_by(chunk) {
+        let hi = (lo + chunk as u64).min(cfg.vehicles);
+        let results = fleet_exec::map_ordered(hi - lo, shards, |i| {
+            run_vehicle(spec, cfg, seeds, lo + i, params, opts)
+        })
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?;
+        for (v, (outcome, telemetry)) in (lo..).zip(&results) {
             let vr = VehicleRecord {
                 schema: VEHICLE_RECORD_SCHEMA.to_string(),
-                vehicle: *v,
+                vehicle: v,
                 outcome: outcome.clone(),
                 counters: telemetry.as_ref().map(|t| t.counters.clone()),
             };
             let payload = serde_json::to_string(&vr)
                 .map_err(|e| StoreError::Corrupt(format!("vehicle serialization: {e}")))?;
-            fs.store.append(VEHICLE_KIND, *v, *v, payload.as_bytes())?;
+            fs.store.append(VEHICLE_KIND, v, v, payload.as_bytes())?;
             fs.fingerprint = fnv1a_extend(fs.fingerprint, payload.as_bytes());
             stats.appended += 1;
         }
         fs.store.sync()?;
-        // Fold only after the batch is journaled and synced: the
-        // accumulator must never get ahead of the crash-consistent
-        // prefix it claims to summarize.
-        for (v, r) in results {
-            pending.insert(v, r);
+        for (v, (outcome, telemetry)) in (lo..).zip(results) {
+            acc.record(v, outcome, telemetry);
         }
-        drain(&mut acc, &mut pending, &mut next, &mut stats.verified);
-        let done = fs.committed.len() as u64 + stats.appended;
-        if policy.snapshot_every > 0 && stats.appended > 0 && done % policy.snapshot_every == 0 {
+        let done = committed + stats.appended;
+        if policy.snapshot_every > 0 && done % policy.snapshot_every == 0 {
             let snap = FleetSnapshot {
                 schema: FLEET_SNAP_SCHEMA.to_string(),
                 vehicles_done: done,
@@ -741,15 +706,6 @@ pub fn run_fleet_stored<IO: StoreIo>(
                 .map_err(|e| StoreError::Corrupt(format!("snapshot serialization: {e}")))?;
             fs.store.write_snapshot(&snap_name(done), &body)?;
         }
-    }
-    // An all-committed resume (no missing vehicles, hence no batches)
-    // still has to fold the journal back; the watermark also catches a
-    // store whose committed set has holes.
-    drain(&mut acc, &mut pending, &mut next, &mut stats.verified);
-    if next < cfg.vehicles {
-        return Err(
-            StoreError::Corrupt(format!("vehicle {next} neither committed nor simulated")).into()
-        );
     }
     if cfg.vehicles > fs.store.manifest().vehicles {
         let mut m = fs.store.manifest().clone();

@@ -54,13 +54,21 @@ fn auto_shards_match_the_pinned_reference() {
 
 #[test]
 fn store_resume_streams_into_the_same_aggregate() {
+    // With the default chunk of 8, three shards split each batch 3 + 3 + 2.
+    for resumed_shards in [1, 3] {
+        resume_on(resumed_shards);
+    }
+}
+
+fn resume_on(resumed_shards: usize) {
     use decos::store::FsIo;
     use decos::store_run;
 
     // A fleet interrupted mid-run and resumed must stream journalled +
     // fresh vehicles through the same accumulator and land on the exact
     // straight-run aggregate, even at a different shard count.
-    let dir = std::env::temp_dir().join(format!("decos-shard-resume-{}", std::process::id()));
+    let dir = std::env::temp_dir()
+        .join(format!("decos-shard-resume-{}-{resumed_shards}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let dir_s = dir.to_str().expect("utf-8 temp dir");
     let spec = fig10::reference_spec();
@@ -78,9 +86,10 @@ fn store_resume_streams_into_the_same_aggregate() {
     store_run::run_fleet_stored(&spec, first, params, &opts, &policy, &mut fs).expect("first leg");
     drop(fs);
 
-    // Second leg: reopen and extend to the full horizon on one shard.
+    // Second leg: reopen and extend to the full horizon on another shard
+    // count.
     let io = FsIo::new(dir_s).expect("store root");
-    let resumed_opts = FleetOptions { shards: Some(1), ..opts };
+    let resumed_opts = FleetOptions { shards: Some(resumed_shards), ..opts };
     let mut fs = FleetStore::open_or_create(io, &spec, &cfg, &params, &resumed_opts, &policy)
         .expect("reopened");
     let (resumed, stats) =
@@ -98,4 +107,35 @@ fn store_resume_streams_into_the_same_aggregate() {
     assert_eq!(resumed.decos, straight.decos);
     assert_eq!(resumed.vehicles.len(), straight.vehicles.len());
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_rejected_sampled_vehicle_fails_the_same_way_at_any_shard_count() {
+    use decos::store::FaultIo;
+    use decos::store_run;
+
+    // One round is too short for some sampled classes' patterns, so some
+    // vehicles are rejected, and the fleet must report the lowest one's
+    // rejection, stored or not, at 1 or 2 shards. At seed 10
+    // the first rejections of the two 64-vehicle blocks read differently,
+    // so reporting the wrong shard's failure shows.
+    let spec = fig10::reference_spec();
+    let cfg = FleetConfig { vehicles: 2 * FLEET_BLOCK, rounds: 1, accel: 10.0, seed: 10 };
+    let params = EngineParams::default();
+    let policy = StorePolicy::default();
+    let mut errors = Vec::new();
+    for shards in [1, 2] {
+        let opts = FleetOptions { shards: Some(shards), ..FleetOptions::default() };
+        let err = run_fleet_configured(&spec, cfg, params, &opts).expect_err("rejected");
+        assert!(matches!(err, CampaignError::Rejected(_)), "got {err}");
+        errors.push(err.to_string());
+        let mut fs =
+            FleetStore::open_or_create(FaultIo::pristine(), &spec, &cfg, &params, &opts, &policy)
+                .expect("store opens");
+        let err = store_run::run_fleet_stored(&spec, cfg, params, &opts, &policy, &mut fs)
+            .expect_err("rejected");
+        assert!(matches!(err, StoreRunError::Campaign(CampaignError::Rejected(_))), "got {err}");
+        errors.push(err.to_string());
+    }
+    assert!(errors.iter().all(|e| *e == errors[0]), "rejections differ: {errors:#?}");
 }

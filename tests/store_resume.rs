@@ -311,3 +311,71 @@ fn fleet_crash_mid_batch_loses_at_most_the_uncommitted_batch() {
     );
     assert_eq!(io2.file(JOURNAL_FILE).unwrap(), clean, "journal is byte-identical again");
 }
+
+#[test]
+fn fleet_journal_with_a_vehicle_gap_is_rejected_as_corrupt() {
+    let spec = fig10::reference_spec();
+    let params = EngineParams::default();
+    let opts = decos::fleet::FleetOptions::default();
+    let cfg = FleetConfig { vehicles: 3, rounds: 200, accel: 10.0, seed: 12 };
+
+    // Real vehicle records from a clean run, re-journaled as vehicles 0
+    // and 2: in order (so `Store::append` accepts them), but vehicle 1 is
+    // missing from the committed history.
+    let ref_io = FaultIo::pristine();
+    let mut ref_fs =
+        FleetStore::open_or_create(ref_io.clone(), &spec, &cfg, &params, &opts, &policy()).unwrap();
+    run_fleet_stored(&spec, cfg, params, &opts, &policy(), &mut ref_fs).unwrap();
+    let records = ref_fs.store().records().to_vec();
+    let manifest = ref_fs.store().manifest().clone();
+
+    let io = FaultIo::pristine();
+    let mut store = decos::store::Store::create(io.clone(), manifest).unwrap();
+    for rec in [&records[0], &records[2]] {
+        store.append(rec.kind, rec.round, rec.seq, &rec.payload).unwrap();
+    }
+    store.sync().unwrap();
+    drop(store);
+
+    let err = FleetStore::open_or_create(io, &spec, &cfg, &params, &opts, &policy())
+        .err()
+        .expect("a gap in the committed vehicles must not open");
+    assert!(matches!(err, StoreRunError::Store(StoreError::Corrupt(_))), "got {err}");
+}
+
+#[test]
+fn fleet_resume_below_the_committed_count_folds_exactly_that_prefix() {
+    let spec = fig10::reference_spec();
+    let params = EngineParams::default();
+    let opts = decos::fleet::FleetOptions { telemetry: true, ..Default::default() };
+    let full = FleetConfig { vehicles: 6, rounds: 300, accel: 10.0, seed: 5 };
+    let prefix = FleetConfig { vehicles: 4, ..full };
+
+    let io = FaultIo::pristine();
+    let mut fs =
+        FleetStore::open_or_create(io.clone(), &spec, &full, &params, &opts, &policy()).unwrap();
+    run_fleet_stored(&spec, full, params, &opts, &policy(), &mut fs).unwrap();
+
+    let io2 = FaultIo::from_files(io.files(), FaultPlan::default());
+    let mut fs2 =
+        FleetStore::open_or_create(io2, &spec, &prefix, &params, &opts, &policy()).unwrap();
+    let (out, stats) = run_fleet_stored(&spec, prefix, params, &opts, &policy(), &mut fs2).unwrap();
+    assert_eq!(stats.committed_before, 6);
+    assert_eq!(stats.verified, 4, "only the requested prefix is folded");
+    assert_eq!(stats.appended, 0);
+    assert_eq!(stats.journal_records, 6, "the journal keeps every committed vehicle");
+    assert_eq!(fs2.store().manifest().vehicles, 6, "the manifest never shrinks");
+
+    let straight = decos::fleet::run_fleet_configured(&spec, prefix, params, &opts).unwrap();
+    assert_eq!(
+        out.telemetry.as_ref().unwrap().counter_fingerprint(),
+        straight.telemetry.as_ref().unwrap().counter_fingerprint()
+    );
+    assert_eq!(out.vehicles.total(), 4);
+    assert_eq!(out.vehicles.len(), straight.vehicles.len());
+    assert_eq!(out.confusion, straight.confusion);
+    assert_eq!(out.decos, straight.decos);
+    assert_eq!(out.obd, straight.obd);
+    assert_eq!(out.mean_delivery_quality.to_bits(), straight.mean_delivery_quality.to_bits());
+    assert_eq!(out.degraded_vehicles, straight.degraded_vehicles);
+}
