@@ -86,7 +86,7 @@ fn run_one(id: &str, effort: Effort, json: bool) {
         }};
     }
     match id {
-        "bench-fleet" => run_bench(perf::bench_fleet(effort), "BENCH_fleet.json"),
+        "bench-fleet" => run_bench(fleet_or_exit(perf::bench_fleet(effort)), "BENCH_fleet.json"),
         "bench-slot" => run_bench(perf::bench_slot(effort), "BENCH_slot.json"),
         "e1-architecture" => emit!(exp::e1_architecture()),
         "e2-taxonomy" => emit!(exp::e2_taxonomy(effort)),
@@ -257,42 +257,46 @@ fn run_fleet_scale(
         seed: o.seed.unwrap_or(2026),
     };
     if telemetry {
-        run_bench(perf::bench_fleet_workload(cfg, shards, effort.0), "BENCH_fleet.json");
+        let report = fleet_or_exit(perf::bench_fleet_workload(cfg, shards, effort.0));
+        run_bench(report, "BENCH_fleet.json");
         return;
     }
-    match perf::fleet_once(cfg, shards) {
-        Ok((out, wall_secs)) => {
-            let snap = out.telemetry.as_ref().expect("telemetry on");
-            let slots = snap.counter("slots_simulated").unwrap_or(0);
-            println!(
-                "fleet vehicles={} rounds={} seed={} shards={}: {:.2}s wall, \
-                 {:.0} vehicles/sec, {:.0} slots/sec",
-                cfg.vehicles,
-                cfg.rounds,
-                cfg.seed,
-                shards.map_or_else(|| "auto".to_string(), |s| s.to_string()),
-                wall_secs,
-                cfg.vehicles as f64 / wall_secs,
-                slots as f64 / wall_secs,
-            );
-            println!(
-                "  nff={:.3} degraded={} retained={}/{} (stride {}) fingerprint_hash={:016x}",
-                out.decos.nff_ratio(),
-                out.degraded_vehicles,
-                out.vehicles.len(),
-                out.vehicles.total(),
-                out.vehicles.stride(),
-                decos::store::fnv1a(snap.counter_fingerprint().as_bytes())
-            );
-        }
-        Err(e) => {
-            eprintln!("fleet failed: {e}");
-            std::process::exit(match e {
-                CampaignError::Rejected(_) => exitcode::SPEC_REJECTED,
-                CampaignError::Spec(_) => exitcode::FAILURE,
-            });
-        }
-    }
+    let (out, wall_secs) = fleet_or_exit(perf::fleet_once(cfg, shards));
+    let snap = out.telemetry.as_ref().expect("telemetry on");
+    let slots = snap.counter("slots_simulated").unwrap_or(0);
+    println!(
+        "fleet vehicles={} rounds={} seed={} shards={}: {:.2}s wall, \
+         {:.0} vehicles/sec, {:.0} slots/sec",
+        cfg.vehicles,
+        cfg.rounds,
+        cfg.seed,
+        shards.map_or_else(|| "auto".to_string(), |s| s.to_string()),
+        wall_secs,
+        cfg.vehicles as f64 / wall_secs,
+        slots as f64 / wall_secs,
+    );
+    println!(
+        "  nff={:.3} degraded={} retained={}/{} (stride {}) fingerprint_hash={:016x}",
+        out.decos.nff_ratio(),
+        out.degraded_vehicles,
+        out.vehicles.len(),
+        out.vehicles.total(),
+        out.vehicles.stride(),
+        decos::store::fnv1a(snap.counter_fingerprint().as_bytes())
+    );
+}
+
+/// Unwraps a fleet result; a failed fleet exits 3 when the analyzer
+/// rejected a sampled vehicle and 1 on a broken specification.
+fn fleet_or_exit<T>(result: Result<T, decos::runner::CampaignError>) -> T {
+    use decos::runner::CampaignError;
+    result.unwrap_or_else(|e| {
+        eprintln!("fleet failed: {e}");
+        std::process::exit(match e {
+            CampaignError::Rejected(_) => exitcode::SPEC_REJECTED,
+            CampaignError::Spec(_) => exitcode::FAILURE,
+        });
+    })
 }
 
 /// The perf-trajectory gate: exits 6 on a regression beyond tolerance,
@@ -461,7 +465,7 @@ fn main() {
     }
     if telemetry {
         // Shorthand for both BENCH emitters.
-        run_bench(perf::bench_fleet(effort), "BENCH_fleet.json");
+        run_bench(fleet_or_exit(perf::bench_fleet(effort)), "BENCH_fleet.json");
         run_bench(perf::bench_slot(effort), "BENCH_slot.json");
     }
     if let Some(path) = &trace {

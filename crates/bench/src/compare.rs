@@ -190,8 +190,9 @@ impl GateResult {
 }
 
 /// Runs both benchmark shapes at `effort` and gates them against the
-/// committed baselines. Errors only on unreadable baselines; regressions
-/// are reported in the results for the caller to turn into an exit code.
+/// committed baselines. Errors on unreadable baselines and on a fleet the
+/// analyzer rejects; regressions are reported in the results for the
+/// caller to turn into an exit code.
 pub fn bench_compare(
     effort: Effort,
     tolerance: f64,
@@ -200,7 +201,7 @@ pub fn bench_compare(
 ) -> Result<Vec<GateResult>, String> {
     let fleet_base = read_baseline(fleet_baseline)?;
     let slot_base = read_baseline(slot_baseline)?;
-    let fleet = bench_fleet(effort);
+    let fleet = bench_fleet(effort).map_err(|e| format!("fleet: {e}"))?;
     let slot = bench_slot(effort);
     Ok(vec![
         GateResult::of("fleet", &fleet_base, &fleet, tolerance),
@@ -223,7 +224,7 @@ mod tests {
 
     #[test]
     fn synthetic_regression_fails_the_gate() {
-        // The acceptance criterion: a >10% synthetic regression must
+        // The acceptance condition: a >10% synthetic regression must
         // demonstrably fail against a committed-style baseline.
         let baseline = Baseline {
             schema: "decos-bench-slot/2".to_string(),

@@ -454,59 +454,65 @@ fn pattern_signature(
     let mut rounds_with_correct = 0u64;
     let mut sim_lif: Vec<decos::platform::PortLif> = Vec::new();
 
-    run_campaign_with(&c, |sim, engine, rec| {
-        if sim_lif.is_empty() {
-            sim_lif = sim.lif().to_vec();
-        }
-        for (i, o) in rec.observations.iter().enumerate() {
-            use decos::platform::ObsKind;
-            match o {
-                ObsKind::Omission | ObsKind::TimingViolation { .. } => {
-                    om += 1;
-                    freq.record(rec.start);
-                }
-                ObsKind::InvalidCrc => {
-                    crc += 1;
-                    freq.record(rec.start);
-                }
-                _ => {}
+    run_campaign_opts(
+        &c,
+        EngineParams::default(),
+        RunOptions::default(),
+        &mut [],
+        |sim, engine, rec| {
+            if sim_lif.is_empty() {
+                sim_lif = sim.lif().to_vec();
             }
-            let _ = i;
-        }
-        // Value deviation of carried messages vs their nominal span.
-        for (_, msgs) in &rec.sent {
-            for m in msgs {
-                if let Some(l) = sim_lif.iter().find(|l| l.port == m.src) {
-                    let dev = if m.value > l.nominal_max {
-                        m.value - l.nominal_max
-                    } else if m.value < l.nominal_min {
-                        l.nominal_min - m.value
-                    } else {
-                        0.0
-                    };
-                    if dev > 0.0 {
-                        dev_points.push((rec.start.as_secs_f64(), dev));
+            for (i, o) in rec.observations.iter().enumerate() {
+                use decos::platform::ObsKind;
+                match o {
+                    ObsKind::Omission | ObsKind::TimingViolation { .. } => {
+                        om += 1;
+                        freq.record(rec.start);
+                    }
+                    ObsKind::InvalidCrc => {
+                        crc += 1;
+                        freq.record(rec.start);
+                    }
+                    _ => {}
+                }
+                let _ = i;
+            }
+            // Value deviation of carried messages vs their nominal span.
+            for (_, msgs) in &rec.sent {
+                for m in msgs {
+                    if let Some(l) = sim_lif.iter().find(|l| l.port == m.src) {
+                        let dev = if m.value > l.nominal_max {
+                            m.value - l.nominal_max
+                        } else if m.value < l.nominal_min {
+                            l.nominal_min - m.value
+                        } else {
+                            0.0
+                        };
+                        if dev > 0.0 {
+                            dev_points.push((rec.start.as_secs_f64(), dev));
+                        }
                     }
                 }
             }
-        }
-        if rec.addr.slot.0 == 3 {
-            let matches = engine.last_matches();
-            if !matches.is_empty() {
-                rounds_with_matches += 1;
-                let expected = |p: &str| expected_patterns.iter().any(|e| p.starts_with(e));
-                if matches.iter().any(|m| expected(m.pattern)) {
-                    rounds_with_correct += 1;
-                }
-                for m in matches {
-                    *pattern_counts.entry(m.pattern.to_string()).or_insert(0) += 1;
-                    if expected(m.pattern) {
-                        implicated.insert(m.fru);
+            if rec.addr.slot.0 == 3 {
+                let matches = engine.last_matches();
+                if !matches.is_empty() {
+                    rounds_with_matches += 1;
+                    let expected = |p: &str| expected_patterns.iter().any(|e| p.starts_with(e));
+                    if matches.iter().any(|m| expected(m.pattern)) {
+                        rounds_with_correct += 1;
+                    }
+                    for m in matches {
+                        *pattern_counts.entry(m.pattern.to_string()).or_insert(0) += 1;
+                        if expected(m.pattern) {
+                            implicated.insert(m.fru);
+                        }
                     }
                 }
             }
-        }
-    })
+        },
+    )
     .expect("valid spec");
 
     let dominant_pattern = pattern_counts
@@ -1071,8 +1077,9 @@ pub fn e12_ablation(effort: Effort) -> E12Ablation {
     let rows = configs
         .into_iter()
         .map(|(label, params)| {
-            let out = decos::fleet::run_fleet_with_params(&spec, cfg, params)
-                .expect("ablation spec analyzes clean");
+            let out =
+                decos::fleet::run_fleet_configured(&spec, cfg, params, &FleetOptions::default())
+                    .expect("ablation spec analyzes clean");
             AblationRow {
                 config: label,
                 accuracy: out.confusion.accuracy(),

@@ -129,7 +129,7 @@ fn phase_quantiles(snap: &TelemetrySnapshot) -> Vec<PhaseQuantiles> {
 
 /// Benchmarks the fleet executor on the headline workload:
 /// `effort × 10⁶` vehicles, [`FLEET_BENCH_ROUNDS`] rounds each.
-pub fn bench_fleet(effort: Effort) -> BenchReport {
+pub fn bench_fleet(effort: Effort) -> Result<BenchReport, CampaignError> {
     let cfg = FleetConfig {
         vehicles: effort.scale(FLEET_BENCH_VEHICLES),
         rounds: FLEET_BENCH_ROUNDS,
@@ -159,12 +159,17 @@ fn shard_ladder() -> Vec<usize> {
 /// one timed run per shard-ladder rung (a pinned `shards` collapses the
 /// ladder to that one rung). Every run uses the same seed, and the report
 /// is `deterministic` only if *all* counter fingerprints agree — which
-/// folds the shard-count-invariance contract into the CI gate.
-pub fn bench_fleet_workload(cfg: FleetConfig, shards: Option<usize>, effort: f64) -> BenchReport {
+/// folds the shard-count-invariance contract into the CI gate. A fleet
+/// the analyzer rejects returns its [`CampaignError`] before any timing.
+pub fn bench_fleet_workload(
+    cfg: FleetConfig,
+    shards: Option<usize>,
+    effort: f64,
+) -> Result<BenchReport, CampaignError> {
     let spec = fig10::reference_spec();
     let params = EngineParams::default();
     let opts = FleetOptions { telemetry: true, ..FleetOptions::default() };
-    let first = run_fleet_configured(&spec, cfg, params, &opts).expect("fleet run");
+    let first = run_fleet_configured(&spec, cfg, params, &opts)?;
     let reference_fp = first.telemetry.expect("telemetry on").counter_fingerprint();
     let ladder = match shards {
         Some(s) => vec![s.max(1)],
@@ -177,7 +182,7 @@ pub fn bench_fleet_workload(cfg: FleetConfig, shards: Option<usize>, effort: f64
     for s in ladder {
         let opts = FleetOptions { shards: Some(s), ..opts.clone() };
         let t0 = Instant::now();
-        let out = run_fleet_configured(&spec, cfg, params, &opts).expect("fleet run");
+        let out = run_fleet_configured(&spec, cfg, params, &opts)?;
         wall_secs = t0.elapsed().as_secs_f64();
         let fp = out.telemetry.as_ref().expect("telemetry on").counter_fingerprint();
         deterministic &= fp == reference_fp;
@@ -190,7 +195,7 @@ pub fn bench_fleet_workload(cfg: FleetConfig, shards: Option<usize>, effort: f64
     }
     let snap = last.expect("ladder has at least one rung").telemetry.expect("telemetry on");
     let slots = snap.counter("slots_simulated").unwrap_or(0);
-    BenchReport {
+    Ok(BenchReport {
         schema: FLEET_SCHEMA.to_string(),
         workload: format!(
             "fleet vehicles={} rounds={} accel={} seed={}",
@@ -205,7 +210,7 @@ pub fn bench_fleet_workload(cfg: FleetConfig, shards: Option<usize>, effort: f64
         scaling,
         phases: phase_quantiles(&snap),
         telemetry: snap,
-    }
+    })
 }
 
 /// One timed streaming-fleet run (telemetry on so the caller can print
@@ -303,7 +308,7 @@ pub struct TraceRow {
 
 /// Streams one [`TraceRow`] per round into a JSONL file.
 ///
-/// Drive it from the [`run_campaign_with`] observer; rows are written on
+/// Drive it from the [`run_campaign_opts`] observer; rows are written on
 /// the last slot of every round. Counters are cumulative — diffing
 /// consecutive rows recovers per-round rates.
 ///
@@ -411,7 +416,7 @@ mod tests {
     fn fleet_bench_is_deterministic() {
         // Effort 0.0002 of the million-vehicle headline = 200 vehicles,
         // still FLEET_BENCH_ROUNDS rounds each (rounds don't scale).
-        let r = bench_fleet(Effort(0.0002));
+        let r = bench_fleet(Effort(0.0002)).unwrap();
         assert!(r.deterministic, "fingerprints must agree across runs and shard counts");
         assert_eq!(r.schema, FLEET_SCHEMA);
         assert!(r.vehicles_per_sec.expect("fleet shape reports vehicles/sec") > 0.0);
@@ -429,7 +434,7 @@ mod tests {
     #[test]
     fn fleet_bench_ladder_collapses_when_shards_are_pinned() {
         let cfg = FleetConfig { vehicles: 96, rounds: 30, accel: 10.0, seed: 9 };
-        let r = bench_fleet_workload(cfg, Some(2), 1.0);
+        let r = bench_fleet_workload(cfg, Some(2), 1.0).unwrap();
         assert!(r.deterministic, "two shards must fingerprint like the warm-up run");
         assert_eq!(r.scaling.len(), 1);
         assert_eq!(r.scaling[0].shards, 2);

@@ -53,12 +53,26 @@ fn storeless_campaign_is_still_a_usage_error() {
 #[test]
 fn rejected_sampled_vehicle_exits_spec_rejected() {
     // One round is too short for the job-borderline pattern, so the first
-    // sampled job-borderline vehicle is rejected: exit 3, not a panic.
-    let out = repro(&["fleet", "--vehicles", "200", "--rounds", "1", "--shards", "1"]);
-    assert_eq!(out.status.code(), Some(3), "stderr: {}", String::from_utf8_lossy(&out.stderr));
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("UncoveredFaultClass"), "stderr names the rejection: {err}");
-    assert!(!err.contains("panicked"), "no worker panic: {err}");
+    // sampled job-borderline vehicle is rejected: exit 3, not a panic —
+    // also on the BENCH emitter path, which must then write no BENCH file.
+    let dir = std::env::temp_dir().join(format!("decos-cli-bench-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let fleet = ["fleet", "--vehicles", "200", "--rounds", "1", "--shards", "1"];
+    for extra in [None, Some("--telemetry")] {
+        let args: Vec<&str> = fleet.iter().copied().chain(extra).collect();
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(&args)
+            .current_dir(&dir)
+            .output()
+            .expect("repro spawns");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(3), "{args:?} stderr: {err}");
+        assert!(err.contains("UncoveredFaultClass"), "stderr names the rejection: {err}");
+        assert!(!err.contains("panicked"), "no panic: {err}");
+        assert!(!dir.join("BENCH_fleet.json").exists(), "{args:?} wrote a BENCH file");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

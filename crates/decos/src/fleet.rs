@@ -429,18 +429,10 @@ impl FleetAccumulator {
     }
 }
 
-/// Runs a fleet and aggregates.
+/// Runs a fleet with default engine parameters and options, and
+/// aggregates.
 pub fn run_fleet(spec: &ClusterSpec, cfg: FleetConfig) -> Result<FleetOutcome, CampaignError> {
-    run_fleet_with_params(spec, cfg, EngineParams::default())
-}
-
-/// Runs a fleet with explicit engine parameters (ablations).
-pub fn run_fleet_with_params(
-    spec: &ClusterSpec,
-    cfg: FleetConfig,
-    params: EngineParams,
-) -> Result<FleetOutcome, CampaignError> {
-    run_fleet_configured(spec, cfg, params, &FleetOptions::default())
+    run_fleet_configured(spec, cfg, EngineParams::default(), &FleetOptions::default())
 }
 
 /// Runs a fleet with explicit engine parameters and [`FleetOptions`]

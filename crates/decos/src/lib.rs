@@ -68,14 +68,12 @@ pub mod workshop;
 /// The working set most users need.
 pub mod prelude {
     pub use crate::fleet::{
-        run_fleet, run_fleet_configured, run_fleet_with_params, FleetAccumulator, FleetConfig,
-        FleetOptions, FleetOutcome, FleetRetention, RetainedVehicles, SampledVehicle,
-        VehicleOutcome, FLEET_BLOCK,
+        run_fleet, run_fleet_configured, FleetAccumulator, FleetConfig, FleetOptions, FleetOutcome,
+        FleetRetention, RetainedVehicles, SampledVehicle, VehicleOutcome, FLEET_BLOCK,
     };
     pub use crate::runner::{
-        run_campaign, run_campaign_observed, run_campaign_opts, run_campaign_with,
-        run_campaign_with_params, trust_trajectories, Campaign, CampaignError, CampaignOutcome,
-        RunOptions, TrustSeries,
+        run_campaign, run_campaign_opts, trust_trajectories, Campaign, CampaignError,
+        CampaignOutcome, RunOptions, TrustSeries,
     };
     pub use crate::store_run::{
         run_campaign_stored, run_fleet_stored, CampaignStore, FleetStore, StorePolicy,
@@ -90,7 +88,7 @@ pub mod prelude {
     pub use decos_faults::{FaultClass, FaultKind, FaultSpec, FruRef, MaintenanceAction};
     pub use decos_platform::fig10;
     pub use decos_platform::{
-        ClusterSim, ClusterSpec, JobId, NodeId, ObserverFn, Position, SlotMetrics, SlotObserver,
+        ClusterSim, ClusterSpec, JobId, NodeId, Position, SlotMetrics, SlotObserver,
     };
     pub use decos_sim::flightrec::{
         FaultLifecycle, FaultRecord, FlightRecording, TraceEvent, TraceEventKind,

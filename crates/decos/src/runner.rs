@@ -144,48 +144,20 @@ pub struct RunOptions {
     pub deny_diagnosability: bool,
 }
 
-/// Runs a campaign.
+/// Runs a campaign with default engine parameters and options.
 pub fn run_campaign(c: &Campaign) -> Result<CampaignOutcome, CampaignError> {
-    run_campaign_with(c, |_, _, _| {})
+    run_campaign_opts(c, EngineParams::default(), RunOptions::default(), &mut [], |_, _, _| {})
 }
 
-/// Runs a campaign with a per-slot observer (for trajectory sampling and
-/// custom instrumentation). The observer sees the cluster, the engine and
-/// the slot record *after* both diagnoses ingested it.
-pub fn run_campaign_with(
-    c: &Campaign,
-    observe: impl FnMut(&ClusterSim, &DiagnosticEngine, &SlotRecord),
-) -> Result<CampaignOutcome, CampaignError> {
-    run_campaign_with_params(c, EngineParams::default(), observe)
-}
-
-/// Runs a campaign with explicit engine parameters (ablations, tuning).
-pub fn run_campaign_with_params(
-    c: &Campaign,
-    params: EngineParams,
-    observe: impl FnMut(&ClusterSim, &DiagnosticEngine, &SlotRecord),
-) -> Result<CampaignOutcome, CampaignError> {
-    run_campaign_observed(c, params, &mut [], observe)
-}
-
-/// Runs a campaign with additional [`SlotObserver`]s riding along.
+/// Runs a campaign with explicit engine parameters (ablations, tuning),
+/// [`RunOptions`] and observers.
 ///
 /// The integrated engine and the OBD baseline are always present (they
 /// produce the [`CampaignOutcome`]); `extras` — metrics recorders, probes,
 /// custom accumulators — see every record right after them, in order.
-/// Records are a *reused buffer*: observers must copy anything they keep.
-pub fn run_campaign_observed(
-    c: &Campaign,
-    params: EngineParams,
-    extras: &mut [&mut dyn SlotObserver],
-    observe: impl FnMut(&ClusterSim, &DiagnosticEngine, &SlotRecord),
-) -> Result<CampaignOutcome, CampaignError> {
-    run_campaign_opts(c, params, RunOptions::default(), extras, observe)
-}
-
-/// Runs a campaign with explicit [`RunOptions`] (telemetry opt-in) on top
-/// of the full observer stack of
-/// [`run_campaign_observed`](run_campaign_observed).
+/// `observe` then sees the cluster, the engine and the slot record (for
+/// trajectory sampling and custom instrumentation). Records are a *reused
+/// buffer*: observers must copy anything they keep.
 pub fn run_campaign_opts(
     c: &Campaign,
     params: EngineParams,
@@ -408,17 +380,23 @@ pub fn trust_trajectories(
     every_rounds: u64,
 ) -> Result<TrustSeries, CampaignError> {
     let mut series: TrustSeries = frus.iter().map(|f| (*f, Vec::new())).collect();
-    run_campaign_with(c, |sim, engine, rec| {
-        // Sample on the last slot of every `every_rounds`-th round. The
-        // cadence must come from the schedule, not the component count —
-        // the two only coincide on clusters with one slot per component.
-        let spr = sim.schedule().slots_per_round();
-        if rec.addr.slot.0 == spr - 1 && (rec.addr.round + 1) % every_rounds == 0 {
-            for (fru, s) in series.iter_mut() {
-                s.push((rec.start.as_secs_f64(), engine.trust_of(*fru)));
+    run_campaign_opts(
+        c,
+        EngineParams::default(),
+        RunOptions::default(),
+        &mut [],
+        |sim, engine, rec| {
+            // Sample on the last slot of every `every_rounds`-th round. The
+            // cadence must come from the schedule, not the component count —
+            // the two only coincide on clusters with one slot per component.
+            let spr = sim.schedule().slots_per_round();
+            if rec.addr.slot.0 == spr - 1 && (rec.addr.round + 1) % every_rounds == 0 {
+                for (fru, s) in series.iter_mut() {
+                    s.push((rec.start.as_secs_f64(), engine.trust_of(*fru)));
+                }
             }
-        }
-    })?;
+        },
+    )?;
     Ok(series)
 }
 
@@ -456,6 +434,29 @@ mod tests {
         assert_eq!(a.report, b.report);
         assert_eq!(a.obd, b.obd);
         assert_eq!(a.episodes, b.episodes);
+    }
+
+    #[test]
+    fn extra_observers_ride_along_without_changing_the_outcome() {
+        use decos_platform::SlotMetrics;
+        let c = Campaign::reference(
+            decos_faults::campaign::connector_campaign(NodeId(2), 2000.0),
+            10.0,
+            300,
+            5,
+        );
+        let mut metrics = SlotMetrics::new();
+        let opts = RunOptions::default();
+        let out =
+            run_campaign_opts(&c, EngineParams::default(), opts, &mut [&mut metrics], |_, _, _| {})
+                .unwrap();
+        let spr =
+            ClusterSim::new(c.spec.clone(), c.seed).unwrap().schedule().slots_per_round() as u64;
+        assert_eq!(metrics.slots, c.rounds * spr);
+        assert_eq!(metrics.rounds, c.rounds, "on_round_end reaches the extras");
+        let plain = run_campaign(&c).unwrap();
+        assert_eq!(out.report, plain.report);
+        assert_eq!(out.obd, plain.obd);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Regression: fleet degraded-vehicle accounting must follow the engine's
 //! own `report.degraded` verdict, not a re-derived quality threshold.
 //!
-//! The historical bug: `run_fleet_with_params` recomputed "degraded" as
+//! The historical bug: the fleet runner recomputed "degraded" as
 //! `delivery_quality < 0.9`, silently dropping the failover and
 //! primary-down conditions the engine folds into `report.degraded` — so a
 //! vehicle whose diagnostic component crashed and failed over to the cold

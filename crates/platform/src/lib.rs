@@ -43,6 +43,6 @@ pub use env::{ComponentDirective, Environment, NullEnvironment, TxDisturbance};
 pub use ids::{Criticality, DasId, JobId, NodeId, Position};
 pub use job::{DispatchCtx, JobBehavior, JobCounters, JobRuntime, JobSpec};
 pub use lif::{derive_lif, PortLif, RateLif};
-pub use observer::{ObserverFn, SlotMetrics, SlotObserver};
+pub use observer::{SlotMetrics, SlotObserver};
 pub use tmr::{vote, DivergenceRecord, VoteError, VoteResult};
 pub use transducer::{Actuator, Sensor, SensorFault, SignalModel};

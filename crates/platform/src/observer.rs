@@ -29,15 +29,6 @@ pub trait SlotObserver {
     fn on_round_end(&mut self, _sim: &ClusterSim, _rec: &SlotRecord) {}
 }
 
-/// Adapts a closure into a [`SlotObserver`] (per-slot hook only).
-pub struct ObserverFn<F: FnMut(&ClusterSim, &SlotRecord)>(pub F);
-
-impl<F: FnMut(&ClusterSim, &SlotRecord)> SlotObserver for ObserverFn<F> {
-    fn on_slot(&mut self, sim: &ClusterSim, rec: &SlotRecord) {
-        (self.0)(sim, rec);
-    }
-}
-
 /// A cheap counting observer summarizing the traffic and symptom surface
 /// of a run — handy as a sanity probe next to the heavyweight diagnostic
 /// observers, and as the reference implementation of the trait.
@@ -99,14 +90,11 @@ mod tests {
         let mut sim = ClusterSim::new(fig10::reference_spec(), 7).unwrap();
         let mut env = NullEnvironment;
         let mut metrics = SlotMetrics::new();
-        let mut closure_slots = 0u64;
-        let mut probe = ObserverFn(|_: &ClusterSim, _: &SlotRecord| closure_slots += 1);
         let spr = sim.schedule().slots_per_round();
         for _ in 0..10 {
             for s in 0..spr {
                 let rec = sim.step_slot(&mut env);
                 metrics.on_slot(&sim, &rec);
-                probe.on_slot(&sim, &rec);
                 if s == spr - 1 {
                     metrics.on_round_end(&sim, &rec);
                 }
@@ -114,7 +102,6 @@ mod tests {
         }
         assert_eq!(metrics.slots, 10 * spr as u64);
         assert_eq!(metrics.rounds, 10);
-        assert_eq!(closure_slots, metrics.slots);
         assert!(metrics.transmissions > 0);
         assert!(metrics.messages_sent > 0);
         assert_eq!(metrics.error_observations, 0, "clean run has no error observations");

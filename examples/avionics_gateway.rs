@@ -29,11 +29,17 @@ fn main() {
     // Healthy run first: the gateway feeds NAV.
     let healthy = Campaign { spec: spec.clone(), faults: vec![], accel: 1.0, rounds: 500, seed: 1 };
     let mut nav_cmds = 0u64;
-    decos::runner::run_campaign_with(&healthy, |sim, _, rec| {
-        if rec.addr.slot.0 == 0 {
-            nav_cmds = sim.job(jobs::NAV_C).counters().produced;
-        }
-    })
+    decos::runner::run_campaign_opts(
+        &healthy,
+        EngineParams::default(),
+        RunOptions::default(),
+        &mut [],
+        |sim, _, rec| {
+            if rec.addr.slot.0 == 0 {
+                nav_cmds = sim.job(jobs::NAV_C).counters().produced;
+            }
+        },
+    )
     .expect("valid spec");
     println!("healthy: NAV controller produced {nav_cmds} commands via the gateway");
 

@@ -6,7 +6,6 @@
 use decos::diagnosis::{score_case, ConfusionMatrix, EngineParams};
 use decos::faults::campaign;
 use decos::prelude::*;
-use decos::runner::run_campaign_with_params;
 use proptest::prelude::*;
 
 #[test]
@@ -29,7 +28,7 @@ fn diagnosis_survives_symptom_floods_on_a_starved_network() {
     let c = Campaign::reference(faults, 10.0, 4_000, 31);
     let params = EngineParams { net_capacity_per_round: 4, ..Default::default() };
     let mut last_stats = None;
-    let out = run_campaign_with_params(&c, params, |_, eng, _| {
+    let out = run_campaign_opts(&c, params, RunOptions::default(), &mut [], |_, eng, _| {
         last_stats = Some(eng.dissemination_stats());
     })
     .unwrap();
@@ -72,11 +71,18 @@ fn late_onset_fault_leaves_early_trust_untouched() {
     }];
     let c = Campaign::reference(faults, 10.0, 10_000, 33);
     let mut trust_before_onset = 1.0f64;
-    let out = run_campaign_with_params(&c, EngineParams::default(), |_, eng, rec| {
-        if rec.start < onset {
-            trust_before_onset = trust_before_onset.min(eng.trust_of(FruRef::Component(NodeId(1))));
-        }
-    })
+    let out = run_campaign_opts(
+        &c,
+        EngineParams::default(),
+        RunOptions::default(),
+        &mut [],
+        |_, eng, rec| {
+            if rec.start < onset {
+                trust_before_onset =
+                    trust_before_onset.min(eng.trust_of(FruRef::Component(NodeId(1))));
+            }
+        },
+    )
     .unwrap();
     assert_eq!(trust_before_onset, 1.0, "no evidence before the fault exists");
     let v = out.report.verdict_of(FruRef::Component(NodeId(1))).expect("assessed after onset");
