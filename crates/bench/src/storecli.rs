@@ -248,8 +248,7 @@ pub fn cmd_store_stat(dir: &str) -> i32 {
     println!("snapshot_every: {}", manifest.snapshot_every);
     println!(
         "journal:        {} committed records, {} committed bytes ({total} on disk)",
-        scan.records.len(),
-        scan.valid_len
+        scan.records, scan.valid_len
     );
     match &scan.torn {
         Some(reason) => println!(
@@ -269,7 +268,7 @@ pub fn cmd_store_stat(dir: &str) -> i32 {
         if let Ok(q) = io.list(decos::store::QUARANTINE_DIR) {
             println!("quarantine:     {}", render_names(&q));
         }
-        if !io.exists(JOURNAL_FILE) && scan.records.is_empty() {
+        if !io.exists(JOURNAL_FILE) && scan.records == 0 {
             println!("note:           journal not yet created (no rounds committed)");
         }
     }

@@ -18,11 +18,11 @@
 //! vehicle records are *skipped* outright (their outcomes are read back
 //! from the journal) and only the rest is simulated. Vehicles are
 //! journaled in ascending batches, so the committed set is always a prefix
-//! `0..k`: the resume folds `0..k` from the journal into the same
-//! [`FleetAccumulator`] the in-memory executor uses, then simulates and
-//! folds `k..n` — ascending vehicle-index order throughout, so the resumed
-//! aggregate (including its one order-sensitive float sum) is
-//! bit-identical to the uninterrupted run's.
+//! `0..k`: the resume folds `0..k` straight from one visit of the journal
+//! into the same [`FleetAccumulator`] the in-memory executor uses, then
+//! simulates and folds `k..n` — ascending vehicle-index order throughout,
+//! so the resumed aggregate (including its one order-sensitive float sum)
+//! is bit-identical to the uninterrupted run's.
 //!
 //! # What guards the journal
 //!
@@ -44,8 +44,8 @@ use decos_platform::ClusterSpec;
 use decos_sim::rng::SeedSource;
 use decos_sim::telemetry::{Counter, CounterSet, CounterValue, GaugeSet, Spans, TelemetrySnapshot};
 use decos_store::{
-    fnv1a, fnv1a_extend, Manifest, RoundDelta, Store, StoreError, StoreIo, ROUND_DELTA_KIND,
-    STORE_SCHEMA, VEHICLE_KIND,
+    fnv1a, fnv1a_extend, Manifest, RoundDelta, ScanRecord, Store, StoreError, StoreIo,
+    ROUND_DELTA_KIND, STORE_SCHEMA, VEHICLE_KIND,
 };
 use serde::{Deserialize, Serialize};
 
@@ -223,6 +223,43 @@ fn spec_mismatch_rejection(expected: u64, found: u64) -> CampaignError {
     CampaignError::Rejected(report)
 }
 
+/// Opens (running recovery) or creates the store `manifest` describes,
+/// rejecting another kind or experiment (DA090). One visit of the journal
+/// then checks record `i` is a `record_kind` record keyed `(i, i)`, hands
+/// it to `each`, and folds the payloads into the snapshot fingerprint.
+fn open_checked<IO: StoreIo>(
+    io: IO,
+    manifest: Manifest,
+    record_kind: u8,
+    mut each: impl FnMut(ScanRecord<'_>) -> Result<(), StoreError>,
+) -> Result<(Store<IO>, u64), StoreRunError> {
+    let (kind, hash) = (manifest.kind.clone(), manifest.spec_hash);
+    let mut store = Store::open_or_create(io, manifest)?;
+    let found = store.manifest();
+    if found.kind != kind {
+        let msg = format!("store kind {:?} is not a {kind} store", found.kind);
+        return Err(StoreError::Corrupt(msg).into());
+    }
+    if found.spec_hash != hash {
+        return Err(spec_mismatch_rejection(hash, found.spec_hash).into());
+    }
+    let mut fingerprint = fnv1a(format!("decos-store-{kind}").as_bytes());
+    let mut i = 0u64;
+    store.visit(|rec| {
+        if rec.kind != record_kind || rec.round != i || rec.seq != i {
+            return Err(StoreError::Corrupt(format!(
+                "journal record {i} is (kind {}, round {}, seq {}); expected kind {record_kind} \
+                 keyed ({i}, {i}) — committed history has a gap",
+                rec.kind, rec.round, rec.seq
+            )));
+        }
+        fingerprint = fnv1a_extend(fingerprint, rec.payload);
+        i += 1;
+        each(rec)
+    })?;
+    Ok((store, fingerprint))
+}
+
 // ---------------------------------------------------------------------------
 // Campaign stores
 // ---------------------------------------------------------------------------
@@ -267,7 +304,6 @@ impl<IO: StoreIo> CampaignStore<IO> {
         params: &EngineParams,
         policy: &StorePolicy,
     ) -> Result<Self, StoreRunError> {
-        let hash = campaign_spec_hash(c, params);
         let manifest = Manifest {
             schema: STORE_SCHEMA.to_string(),
             kind: CAMPAIGN_KIND.to_string(),
@@ -276,40 +312,20 @@ impl<IO: StoreIo> CampaignStore<IO> {
                 c.spec.components.len(),
                 c.faults.len()
             ),
-            spec_hash: hash,
+            spec_hash: campaign_spec_hash(c, params),
             seed: c.seed,
             accel: c.accel,
             rounds: c.rounds,
             vehicles: 1,
             snapshot_every: policy.snapshot_every,
         };
-        let store = Store::open_or_create(io, manifest)?;
-        if store.manifest().kind != CAMPAIGN_KIND {
-            return Err(StoreError::Corrupt(format!(
-                "store kind {:?} is not a campaign store",
-                store.manifest().kind
-            ))
-            .into());
-        }
-        if store.manifest().spec_hash != hash {
-            return Err(spec_mismatch_rejection(hash, store.manifest().spec_hash).into());
-        }
-        let mut deltas = Vec::with_capacity(store.records().len());
-        let mut fingerprint = fnv1a(b"decos-store-campaign");
-        for (i, rec) in store.records().iter().enumerate() {
-            if rec.kind != ROUND_DELTA_KIND || rec.round != i as u64 || rec.seq != i as u64 {
-                return Err(StoreError::Corrupt(format!(
-                    "journal record {i} is (kind {}, round {}, seq {}); expected a round-delta \
-                     for round {i} — committed history has a gap",
-                    rec.kind, rec.round, rec.seq
-                ))
-                .into());
-            }
-            let delta = RoundDelta::decode(&rec.payload)
-                .map_err(|e| StoreError::Corrupt(format!("journal record {i}: {e}")))?;
-            fingerprint = fnv1a_extend(fingerprint, &rec.payload);
+        let mut deltas = Vec::new();
+        let (store, fingerprint) = open_checked(io, manifest, ROUND_DELTA_KIND, |rec| {
+            let delta = RoundDelta::decode(rec.payload)
+                .map_err(|e| StoreError::Corrupt(format!("journal record {}: {e}", rec.round)))?;
             deltas.push(delta);
-        }
+            Ok(())
+        })?;
         Ok(CampaignStore { store, deltas, fingerprint })
     }
 
@@ -317,12 +333,6 @@ impl<IO: StoreIo> CampaignStore<IO> {
     #[must_use]
     pub fn committed_rounds(&self) -> u64 {
         self.deltas.len() as u64
-    }
-
-    /// The committed per-round deltas, oldest first.
-    #[must_use]
-    pub fn deltas(&self) -> &[RoundDelta] {
-        &self.deltas
     }
 
     /// The underlying store.
@@ -474,7 +484,7 @@ pub fn run_campaign_stored<IO: StoreIo>(
                     m.rounds = c.rounds;
                     cs.store.update_manifest(m)?;
                 }
-                stats.journal_records = cs.store.records().len() as u64;
+                stats.journal_records = cs.store.committed_records();
                 stats.journal_bytes = cs.store.journal_len();
                 stats.fsyncs = cs.store.stats().fsyncs;
                 stats.snapshots_written = cs.store.stats().snapshots_written;
@@ -531,11 +541,11 @@ pub struct FleetSnapshot {
     pub journal_fingerprint: u64,
 }
 
-/// An open fleet store: the journaled vehicle records `0..k`, record `i`
-/// being vehicle `i`.
+/// An open fleet store over the journaled vehicle records `0..k`, record
+/// `i` being vehicle `i`; it holds none of them.
 pub struct FleetStore<IO: StoreIo> {
     store: Store<IO>,
-    committed: Vec<VehicleRecord>,
+    /// Streaming hash over committed vehicle payloads (snapshot anchor).
     fingerprint: u64,
 }
 
@@ -550,7 +560,6 @@ impl<IO: StoreIo> FleetStore<IO> {
         opts: &FleetOptions,
         policy: &StorePolicy,
     ) -> Result<Self, StoreRunError> {
-        let hash = fleet_spec_hash(spec, cfg, params, opts);
         let manifest = Manifest {
             schema: STORE_SCHEMA.to_string(),
             kind: FLEET_KIND.to_string(),
@@ -560,56 +569,21 @@ impl<IO: StoreIo> FleetStore<IO> {
                 cfg.rounds,
                 spec.components.len()
             ),
-            spec_hash: hash,
+            spec_hash: fleet_spec_hash(spec, cfg, params, opts),
             seed: cfg.seed,
             accel: cfg.accel,
             rounds: cfg.rounds,
             vehicles: cfg.vehicles,
             snapshot_every: policy.snapshot_every,
         };
-        let store = Store::open_or_create(io, manifest)?;
-        if store.manifest().kind != FLEET_KIND {
-            return Err(StoreError::Corrupt(format!(
-                "store kind {:?} is not a fleet store",
-                store.manifest().kind
-            ))
-            .into());
-        }
-        if store.manifest().spec_hash != hash {
-            return Err(spec_mismatch_rejection(hash, store.manifest().spec_hash).into());
-        }
-        let mut committed = Vec::with_capacity(store.records().len());
-        let mut fingerprint = fnv1a(b"decos-store-fleet");
-        for (i, rec) in store.records().iter().enumerate() {
-            if rec.kind != VEHICLE_KIND || rec.round != i as u64 || rec.seq != i as u64 {
-                return Err(StoreError::Corrupt(format!(
-                    "journal record {i} is (kind {}, vehicle {}, seq {}); expected a vehicle \
-                     record for vehicle {i} — committed history has a gap",
-                    rec.kind, rec.round, rec.seq
-                ))
-                .into());
-            }
-            let text = core::str::from_utf8(&rec.payload)
-                .map_err(|_| StoreError::Corrupt("vehicle record is not UTF-8".into()))?;
-            let vr: VehicleRecord = serde_json::from_str(text)
-                .map_err(|e| StoreError::Corrupt(format!("vehicle record unparseable: {e}")))?;
-            if vr.schema != VEHICLE_RECORD_SCHEMA || vr.vehicle != rec.round {
-                return Err(StoreError::Corrupt(format!(
-                    "vehicle record {} disagrees with its frame header",
-                    rec.round
-                ))
-                .into());
-            }
-            fingerprint = fnv1a_extend(fingerprint, &rec.payload);
-            committed.push(vr);
-        }
-        Ok(FleetStore { store, committed, fingerprint })
+        let (store, fingerprint) = open_checked(io, manifest, VEHICLE_KIND, |_| Ok(()))?;
+        Ok(FleetStore { store, fingerprint })
     }
 
     /// Vehicles committed in the journal.
     #[must_use]
     pub fn committed_vehicles(&self) -> u64 {
-        self.committed.len() as u64
+        self.store.committed_records()
     }
 
     /// The underlying store.
@@ -622,6 +596,20 @@ impl<IO: StoreIo> FleetStore<IO> {
     pub fn store_mut(&mut self) -> &mut Store<IO> {
         &mut self.store
     }
+}
+
+/// Decodes a journaled vehicle record, rejecting one whose payload does
+/// not parse or whose `vehicle` disagrees with its frame header.
+fn decode_vehicle(rec: ScanRecord<'_>) -> Result<VehicleRecord, StoreError> {
+    let corrupt =
+        |what: String| StoreError::Corrupt(format!("vehicle record {} {what}", rec.round));
+    let text = core::str::from_utf8(rec.payload).map_err(|_| corrupt("is not UTF-8".into()))?;
+    let vr: VehicleRecord =
+        serde_json::from_str(text).map_err(|e| corrupt(format!("unparseable: {e}")))?;
+    if vr.schema != VEHICLE_RECORD_SCHEMA || vr.vehicle != rec.round {
+        return Err(corrupt("disagrees with its frame header".into()));
+    }
+    Ok(vr)
 }
 
 /// Rebuilds a vehicle's telemetry snapshot from journaled counter values:
@@ -640,8 +628,11 @@ fn snapshot_from_counters(counters: &[CounterValue]) -> TelemetrySnapshot {
 /// Runs (or resumes) a fleet against its store. The committed prefix
 /// `0..k` is read back from the journal and skipped; vehicles `k..n` are
 /// simulated in batches of [`StorePolicy::chunk`], each batch committed
-/// with one fsync. A rejected sampled vehicle fails the run with the
-/// rejection of the lowest failing index; earlier batches stay committed.
+/// with one fsync, and snapshotted when it crosses a multiple of
+/// [`StorePolicy::snapshot_every`]. A committed record that does not decode
+/// fails the run as corrupt before anything is simulated. A rejected
+/// sampled vehicle fails the run with the rejection of the lowest failing
+/// index; earlier batches stay committed.
 pub fn run_fleet_stored<IO: StoreIo>(
     spec: &ClusterSpec,
     cfg: FleetConfig,
@@ -666,10 +657,14 @@ pub fn run_fleet_stored<IO: StoreIo>(
     // once it is journaled and synced, so the accumulator never gets ahead
     // of the crash-consistent prefix it summarizes.
     let mut acc = FleetAccumulator::new(cfg.vehicles, opts.retain);
-    for (v, vr) in (0..cfg.vehicles).zip(&fs.committed) {
-        acc.record(v, vr.outcome.clone(), vr.counters.as_deref().map(snapshot_from_counters));
-        stats.verified += 1;
-    }
+    fs.store.visit(|rec| {
+        if rec.round < cfg.vehicles {
+            let vr = decode_vehicle(rec)?;
+            acc.record(rec.round, vr.outcome, vr.counters.as_deref().map(snapshot_from_counters));
+            stats.verified += 1;
+        }
+        Ok(())
+    })?;
     let chunk = policy.chunk.max(1);
     for lo in (committed..cfg.vehicles).step_by(chunk) {
         let hi = (lo + chunk as u64).min(cfg.vehicles);
@@ -695,16 +690,15 @@ pub fn run_fleet_stored<IO: StoreIo>(
         for (v, (outcome, telemetry)) in (lo..).zip(results) {
             acc.record(v, outcome, telemetry);
         }
-        let done = committed + stats.appended;
-        if policy.snapshot_every > 0 && done % policy.snapshot_every == 0 {
+        if policy.snapshot_every > 0 && hi / policy.snapshot_every > lo / policy.snapshot_every {
             let snap = FleetSnapshot {
                 schema: FLEET_SNAP_SCHEMA.to_string(),
-                vehicles_done: done,
+                vehicles_done: hi,
                 journal_fingerprint: fs.fingerprint,
             };
             let body = serde_json::to_string_pretty(&snap)
                 .map_err(|e| StoreError::Corrupt(format!("snapshot serialization: {e}")))?;
-            fs.store.write_snapshot(&snap_name(done), &body)?;
+            fs.store.write_snapshot(&snap_name(hi), &body)?;
         }
     }
     if cfg.vehicles > fs.store.manifest().vehicles {
@@ -712,7 +706,7 @@ pub fn run_fleet_stored<IO: StoreIo>(
         m.vehicles = cfg.vehicles;
         fs.store.update_manifest(m)?;
     }
-    stats.journal_records = fs.store.records().len() as u64;
+    stats.journal_records = fs.store.committed_records();
     stats.journal_bytes = fs.store.journal_len();
     stats.fsyncs = fs.store.stats().fsyncs;
     stats.snapshots_written = fs.store.stats().snapshots_written;

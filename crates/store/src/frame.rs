@@ -117,46 +117,48 @@ impl core::fmt::Display for TornReason {
     }
 }
 
-/// One validated record recovered from a scan.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ScanRecord {
+/// One validated record recovered from a scan. The payload borrows the
+/// scanned bytes; nothing is copied.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ScanRecord<'a> {
     /// Record kind tag.
     pub kind: u8,
     /// Round (campaign) or vehicle index (fleet).
     pub round: u64,
     /// Sequence number within the round.
     pub seq: u64,
-    /// Decoded payload bytes.
-    pub payload: Vec<u8>,
+    /// Payload bytes, borrowed from the journal.
+    pub payload: &'a [u8],
     /// Byte offset of the record's first byte in the journal.
     pub offset: u64,
 }
 
-/// The result of scan-validating a journal byte stream.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Where a scan stopped.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScanOutcome {
-    /// Every record up to (excluding) the first invalid byte.
-    pub records: Vec<ScanRecord>,
+    /// Valid records before the stop offset.
+    pub records: u64,
+    /// `(round, seq)` of the last valid record.
+    pub last: Option<(u64, u64)>,
     /// Length of the valid prefix: the journal should be truncated here.
     pub valid_len: u64,
     /// Why the scan stopped early, `None` if the whole stream validated.
     pub torn: Option<TornReason>,
 }
 
-/// Scan-validates `bytes` front to back, stopping at the first record
-/// that is torn, corrupt, or out of order. Everything before the stop
-/// offset is committed history; everything after is a casualty of the
-/// crash (or tampering) and must be quarantined, never replayed.
-#[must_use]
-pub fn scan(bytes: &[u8]) -> ScanOutcome {
-    let mut records = Vec::new();
-    let mut off = 0usize;
-    let mut prev: Option<(u64, u64)> = None;
-    let torn = loop {
-        if off == bytes.len() {
+/// Scan-validates `bytes` front to back, handing each valid record to
+/// `visit` in order and stopping at the first record that is torn,
+/// corrupt, or out of order. Everything before the stop offset is
+/// committed history; everything after is a casualty of the crash (or
+/// tampering) and must be quarantined, never replayed.
+pub fn scan<'a>(bytes: &'a [u8], mut visit: impl FnMut(ScanRecord<'a>)) -> ScanOutcome {
+    let mut out = ScanOutcome::default();
+    out.torn = loop {
+        let offset = out.valid_len;
+        let rest = &bytes[offset as usize..];
+        if rest.is_empty() {
             break None;
         }
-        let rest = &bytes[off..];
         if rest.len() < HEADER_LEN {
             break Some(TornReason::TruncatedHeader);
         }
@@ -178,20 +180,16 @@ pub fn scan(bytes: &[u8]) -> ScanOutcome {
         if crc32(&rest[4..total - TRAILER_LEN]) != stored_crc {
             break Some(TornReason::CrcMismatch);
         }
-        if prev.is_some_and(|p| (round, seq) <= p) {
+        if out.last.is_some_and(|p| (round, seq) <= p) {
             break Some(TornReason::NonMonotonic);
         }
-        prev = Some((round, seq));
-        records.push(ScanRecord {
-            kind,
-            round,
-            seq,
-            payload: rest[HEADER_LEN..HEADER_LEN + len as usize].to_vec(),
-            offset: off as u64,
-        });
-        off += total;
+        out.records += 1;
+        out.last = Some((round, seq));
+        out.valid_len += total as u64;
+        let payload = &rest[HEADER_LEN..HEADER_LEN + len as usize];
+        visit(ScanRecord { kind, round, seq, payload, offset });
     };
-    ScanOutcome { records, valid_len: off as u64, torn }
+    out
 }
 
 #[cfg(test)]
@@ -216,11 +214,14 @@ mod tests {
     #[test]
     fn scan_round_trips_clean_journal() {
         let bytes = journal(5);
-        let out = scan(&bytes);
+        let mut records = Vec::new();
+        let out = scan(&bytes, |r| records.push(r));
         assert_eq!(out.torn, None);
         assert_eq!(out.valid_len, bytes.len() as u64);
-        assert_eq!(out.records.len(), 5);
-        for (i, r) in out.records.iter().enumerate() {
+        assert_eq!(records.len(), 5);
+        assert_eq!(out.records, 5);
+        assert_eq!(out.last, Some((4, 4)));
+        for (i, r) in records.iter().enumerate() {
             assert_eq!(r.round, i as u64);
             assert_eq!(r.payload, (i as u64).to_le_bytes());
         }
@@ -231,17 +232,17 @@ mod tests {
         let keep = journal(3);
         let full = journal(4);
         // A cut exactly on the record boundary is a clean journal…
-        let boundary = scan(&full[..keep.len()]);
+        let boundary = scan(&full[..keep.len()], |_| {});
         assert_eq!(boundary.torn, None);
-        assert_eq!(boundary.records.len(), 3);
+        assert_eq!(boundary.records, 3);
         // …every cut inside the final record is torn and truncates to it.
         for cut in keep.len() + 1..full.len() {
-            let out = scan(&full[..cut]);
-            assert_eq!(out.records.len(), 3, "cut at {cut}");
+            let out = scan(&full[..cut], |_| {});
+            assert_eq!(out.records, 3, "cut at {cut}");
             assert_eq!(out.valid_len, keep.len() as u64, "cut at {cut}");
             assert!(out.torn.is_some(), "cut at {cut} must be reported torn");
         }
-        assert_eq!(scan(&full).torn, None);
+        assert_eq!(scan(&full, |_| {}).torn, None);
     }
 
     #[test]
@@ -250,11 +251,8 @@ mod tests {
         for i in 0..bytes.len() {
             let mut m = bytes.clone();
             m[i] ^= 0x40;
-            let out = scan(&m);
-            assert!(
-                out.torn.is_some() || out.records.len() < 2,
-                "flip at byte {i} survived the scan"
-            );
+            let out = scan(&m, |_| {});
+            assert!(out.torn.is_some() || out.records < 2, "flip at byte {i} survived the scan");
         }
     }
 
@@ -264,10 +262,10 @@ mod tests {
         encode_record(1, 5, 5, b"a", &mut out);
         let stop = out.len() as u64;
         encode_record(1, 4, 4, b"b", &mut out);
-        let s = scan(&out);
+        let s = scan(&out, |_| {});
         assert_eq!(s.torn, Some(TornReason::NonMonotonic));
         assert_eq!(s.valid_len, stop);
-        assert_eq!(s.records.len(), 1);
+        assert_eq!(s.records, 1);
     }
 
     #[test]
@@ -276,7 +274,7 @@ mod tests {
         // Corrupt the length field to a huge value and fix nothing else:
         // the scan must stop with OversizedLength, not try to allocate.
         bytes[21..25].copy_from_slice(&(MAX_PAYLOAD + 1).to_le_bytes());
-        let s = scan(&bytes);
+        let s = scan(&bytes, |_| {});
         assert_eq!(s.torn, Some(TornReason::OversizedLength));
         assert_eq!(s.valid_len, 0);
     }

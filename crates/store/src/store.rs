@@ -13,9 +13,10 @@
 //! Opening a store *is* recovery: the journal is scan-validated, the valid
 //! prefix becomes the committed history, and any invalid tail is moved to
 //! `quarantine/` (never deleted — a torn record is evidence) before the
-//! journal is truncated back to the committed length.
+//! journal is truncated back to the committed length. The journal is the
+//! only copy of that history; [`Store::visit`] reads it back.
 
-use crate::frame::{self, ScanRecord};
+use crate::frame::{self, ScanOutcome, ScanRecord};
 use crate::io::StoreIo;
 use serde::{Deserialize, Serialize};
 use std::io;
@@ -105,37 +106,31 @@ impl From<io::Error> for StoreError {
 }
 
 /// Counters a store accumulates over one process lifetime. Recovery
-/// fields describe what `open` found; append fields what this session
-/// wrote. These feed the telemetry registry's `store_*`/`journal_*`
-/// counters.
+/// fields describe what `open` found; the others what this session did.
+/// These feed the telemetry registry's `store_*`/`journal_*` counters.
 #[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct StoreStats {
     /// Committed records recovered at open.
     pub recovered_records: u64,
-    /// Committed journal bytes recovered at open.
-    pub recovered_bytes: u64,
     /// Torn-tail bytes moved to quarantine at open.
     pub quarantined_bytes: u64,
     /// Why the tail was torn, if it was.
     pub torn: Option<String>,
-    /// Records appended this session.
-    pub appended_records: u64,
-    /// Journal bytes appended this session.
-    pub appended_bytes: u64,
     /// Journal fsyncs this session.
     pub fsyncs: u64,
     /// Snapshots written this session.
     pub snapshots_written: u64,
 }
 
-/// An open store: committed records in memory, journal on "disk" via the
-/// [`StoreIo`] implementation.
+/// An open store: the committed journal's shape in memory, its records on
+/// "disk" via the [`StoreIo`] implementation.
 #[derive(Debug)]
 pub struct Store<IO: StoreIo> {
     io: IO,
     manifest: Manifest,
-    records: Vec<ScanRecord>,
-    journal_len: u64,
+    /// The journal's clean scan (count, last key, length), kept current by
+    /// [`Store::append`].
+    committed: ScanOutcome,
     stats: StoreStats,
 }
 
@@ -146,13 +141,7 @@ impl<IO: StoreIo> Store<IO> {
             return Err(StoreError::Corrupt("store already initialized here".into()));
         }
         write_manifest(&mut io, &manifest)?;
-        Ok(Store {
-            io,
-            manifest,
-            records: Vec::new(),
-            journal_len: 0,
-            stats: StoreStats::default(),
-        })
+        Ok(Store { io, manifest, committed: ScanOutcome::default(), stats: StoreStats::default() })
     }
 
     /// Opens an existing store, running recovery: scan-validate the
@@ -161,13 +150,9 @@ impl<IO: StoreIo> Store<IO> {
     /// experiment it intends to run.
     pub fn open(mut io: IO) -> Result<Self, StoreError> {
         let manifest = read_manifest(&mut io)?;
-        let bytes = if io.exists(JOURNAL_FILE) { io.read(JOURNAL_FILE)? } else { Vec::new() };
-        let scan = frame::scan(&bytes);
-        let mut stats = StoreStats {
-            recovered_records: scan.records.len() as u64,
-            recovered_bytes: scan.valid_len,
-            ..StoreStats::default()
-        };
+        let bytes = read_journal(&mut io)?;
+        let scan = frame::scan(&bytes, |_| {});
+        let mut stats = StoreStats { recovered_records: scan.records, ..StoreStats::default() };
         if let Some(reason) = scan.torn {
             let tail = &bytes[scan.valid_len as usize..];
             stats.quarantined_bytes = tail.len() as u64;
@@ -178,7 +163,7 @@ impl<IO: StoreIo> Store<IO> {
             io.write_atomic(&format!("{QUARANTINE_DIR}/tail-{}.bin", scan.valid_len), tail)?;
             io.truncate(JOURNAL_FILE, scan.valid_len)?;
         }
-        Ok(Store { io, manifest, records: scan.records, journal_len: scan.valid_len, stats })
+        Ok(Store { io, manifest, committed: ScanOutcome { torn: None, ..scan }, stats })
     }
 
     /// Opens if a manifest exists, otherwise creates with `manifest`.
@@ -191,13 +176,13 @@ impl<IO: StoreIo> Store<IO> {
     }
 
     /// Read-only inspection: recovery analysis without mutating anything —
-    /// what `store-stat` uses. Returns the store plus the scan verdict;
-    /// torn tails are reported, not quarantined.
-    pub fn inspect(mut io: IO) -> Result<(Manifest, frame::ScanOutcome, u64), StoreError> {
+    /// what `store-stat` uses. Returns the manifest, the scan verdict and
+    /// the journal's length on disk; torn tails are reported, not
+    /// quarantined.
+    pub fn inspect(mut io: IO) -> Result<(Manifest, ScanOutcome, u64), StoreError> {
         let manifest = read_manifest(&mut io)?;
-        let bytes = if io.exists(JOURNAL_FILE) { io.read(JOURNAL_FILE)? } else { Vec::new() };
-        let total = bytes.len() as u64;
-        Ok((manifest, frame::scan(&bytes), total))
+        let bytes = read_journal(&mut io)?;
+        Ok((manifest, frame::scan(&bytes, |_| {}), bytes.len() as u64))
     }
 
     /// The manifest as opened.
@@ -213,10 +198,32 @@ impl<IO: StoreIo> Store<IO> {
         Ok(())
     }
 
-    /// Committed records, oldest first.
+    /// Records in the journal, recovered and appended.
     #[must_use]
-    pub fn records(&self) -> &[ScanRecord] {
-        &self.records
+    pub fn committed_records(&self) -> u64 {
+        self.committed.records
+    }
+
+    /// Hands every committed record to `f`, oldest first, over one read of
+    /// the journal, stopping at `f`'s first error. Fails as corrupt if the
+    /// journal no longer scans clean to its committed length.
+    pub fn visit(
+        &mut self,
+        mut f: impl FnMut(ScanRecord<'_>) -> Result<(), StoreError>,
+    ) -> Result<(), StoreError> {
+        let bytes = read_journal(&mut self.io)?;
+        let committed = bytes.get(..self.committed.valid_len as usize).unwrap_or(&bytes);
+        let mut result = Ok(());
+        let out = frame::scan(committed, |rec| {
+            if result.is_ok() {
+                result = f(rec);
+            }
+        });
+        result?;
+        if out != self.committed {
+            return Err(StoreError::Corrupt("journal changed under the open store".into()));
+        }
+        Ok(())
     }
 
     /// Session statistics.
@@ -228,7 +235,7 @@ impl<IO: StoreIo> Store<IO> {
     /// Committed journal length in bytes.
     #[must_use]
     pub fn journal_len(&self) -> u64 {
-        self.journal_len
+        self.committed.valid_len
     }
 
     /// Appends one framed record, retrying short writes to completion.
@@ -241,13 +248,10 @@ impl<IO: StoreIo> Store<IO> {
         seq: u64,
         payload: &[u8],
     ) -> Result<(), StoreError> {
-        if let Some(last) = self.records.last() {
-            if (round, seq) <= (last.round, last.seq) {
-                return Err(StoreError::Corrupt(format!(
-                    "append out of order: ({round}, {seq}) after ({}, {})",
-                    last.round, last.seq
-                )));
-            }
+        if let Some(last) = self.committed.last.filter(|&last| (round, seq) <= last) {
+            return Err(StoreError::Corrupt(format!(
+                "append out of order: ({round}, {seq}) after {last:?}"
+            )));
         }
         let mut buf = Vec::with_capacity(frame::framed_len(payload.len()));
         frame::encode_record(kind, round, seq, payload, &mut buf);
@@ -262,16 +266,9 @@ impl<IO: StoreIo> Store<IO> {
             }
             off += n;
         }
-        self.records.push(ScanRecord {
-            kind,
-            round,
-            seq,
-            payload: payload.to_vec(),
-            offset: self.journal_len,
-        });
-        self.journal_len += buf.len() as u64;
-        self.stats.appended_records += 1;
-        self.stats.appended_bytes += buf.len() as u64;
+        self.committed.records += 1;
+        self.committed.last = Some((round, seq));
+        self.committed.valid_len += buf.len() as u64;
         Ok(())
     }
 
@@ -312,6 +309,10 @@ impl<IO: StoreIo> Store<IO> {
     pub fn io_mut(&mut self) -> &mut IO {
         &mut self.io
     }
+}
+
+fn read_journal<IO: StoreIo>(io: &mut IO) -> Result<Vec<u8>, StoreError> {
+    Ok(if io.exists(JOURNAL_FILE) { io.read(JOURNAL_FILE)? } else { Vec::new() })
 }
 
 fn read_manifest<IO: StoreIo>(io: &mut IO) -> Result<Manifest, StoreError> {
@@ -370,7 +371,7 @@ mod tests {
 
         let mut back = Store::open(io).unwrap();
         assert_eq!(back.manifest(), &manifest());
-        assert_eq!(back.records().len(), 5);
+        assert_eq!(back.committed_records(), 5);
         assert_eq!(back.stats().recovered_records, 5);
         assert_eq!(back.stats().torn, None);
         assert_eq!(back.snapshot_names().unwrap(), vec!["snap-000000000004.json".to_string()]);
@@ -393,7 +394,7 @@ mod tests {
         io.put(JOURNAL_FILE, cut);
 
         let mut back = Store::open(io.clone()).unwrap();
-        assert_eq!(back.records().len(), 2, "two committed records survive");
+        assert_eq!(back.committed_records(), 2, "two committed records survive");
         assert!(back.stats().quarantined_bytes > 0);
         assert!(back.stats().torn.is_some());
         let q = back.quarantine_names().unwrap();
@@ -402,7 +403,7 @@ mod tests {
         // appends continue from record 2.
         back.append(1, 2, 2, b"payload").unwrap();
         let reopened = Store::open(io).unwrap();
-        assert_eq!(reopened.records().len(), 3);
+        assert_eq!(reopened.committed_records(), 3);
         assert_eq!(reopened.stats().torn, None);
     }
 
@@ -411,9 +412,36 @@ mod tests {
         let io = FaultIo::with_plan(FaultPlan { short_write_cap: Some(3), ..Default::default() });
         let mut s = Store::create(io.clone(), manifest()).unwrap();
         s.append(1, 0, 0, b"a-long-enough-payload").unwrap();
-        let back = Store::open(io).unwrap();
-        assert_eq!(back.records().len(), 1);
-        assert_eq!(back.records()[0].payload, b"a-long-enough-payload");
+        let mut back = Store::open(io).unwrap();
+        assert_eq!(back.committed_records(), 1);
+        let mut payloads = Vec::new();
+        back.visit(|rec| {
+            payloads.push(rec.payload.to_vec());
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(payloads[0], b"a-long-enough-payload");
+    }
+
+    #[test]
+    fn visit_rejects_a_journal_changed_under_the_open_store() {
+        let io = FaultIo::pristine();
+        let mut s = Store::create(io.clone(), manifest()).unwrap();
+        for r in 0..3u64 {
+            s.append(1, r, r, b"payload").unwrap();
+        }
+        let mut seen = Vec::new();
+        s.visit(|rec| {
+            seen.push(rec.round);
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(seen, [0, 1, 2]);
+        let mut bytes = io.file(JOURNAL_FILE).unwrap();
+        let last = bytes.len() - 1;
+        bytes[last] ^= 0x01;
+        io.put(JOURNAL_FILE, bytes);
+        assert!(matches!(s.visit(|_| Ok(())), Err(StoreError::Corrupt(_))));
     }
 
     #[test]
@@ -432,7 +460,7 @@ mod tests {
         assert!(matches!(err, StoreError::Io(ref e) if e.kind() == io::ErrorKind::StorageFull));
         io.restart();
         let back = Store::open(io).unwrap();
-        assert_eq!(back.records().len() as u64, at, "all pre-ENOSPC records survive");
+        assert_eq!(back.committed_records(), at, "all pre-ENOSPC records survive");
     }
 
     #[test]
@@ -458,7 +486,7 @@ mod tests {
             },
         );
         let back = Store::open(flipped).unwrap();
-        assert_eq!(back.records().len(), 2, "records before the flip survive");
+        assert_eq!(back.committed_records(), 2, "records before the flip survive");
         assert_eq!(back.stats().torn.as_deref(), Some("crc mismatch"));
     }
 

@@ -89,13 +89,14 @@ proptest! {
         encode_record(ROUND_DELTA_KIND, round, round, &d.encode(), &mut framed);
         let idx = byte % framed.len();
         framed[idx] ^= mask;
-        let out = scan(&framed);
+        let mut records = Vec::new();
+        let out = scan(&framed, |r| records.push(r));
         // Whatever byte was flipped — magic, header, payload or CRC — the
         // scan must not hand back a valid record claiming to be this one.
         prop_assert!(
-            out.records.is_empty(),
+            records.is_empty(),
             "flip at byte {} (of {}) survived: {:?}",
-            idx, framed.len(), out.records[0]
+            idx, framed.len(), records[0]
         );
         prop_assert!(out.torn.is_some());
     }
@@ -119,13 +120,14 @@ proptest! {
             encode_record(ROUND_DELTA_KIND, i as u64, i as u64, &d.encode(), &mut journal);
             expect.push(d);
         }
-        let out = scan(&journal);
+        let mut records = Vec::new();
+        let out = scan(&journal, |r| records.push(r));
         prop_assert!(out.torn.is_none());
         prop_assert_eq!(out.valid_len, journal.len() as u64);
-        prop_assert_eq!(out.records.len(), expect.len());
-        for (rec, want) in out.records.iter().zip(&expect) {
+        prop_assert_eq!(records.len(), expect.len());
+        for (rec, want) in records.iter().zip(&expect) {
             prop_assert_eq!(rec.kind, ROUND_DELTA_KIND);
-            prop_assert_eq!(RoundDelta::decode(&rec.payload).unwrap(), *want);
+            prop_assert_eq!(RoundDelta::decode(rec.payload).unwrap(), *want);
         }
     }
 

@@ -11,12 +11,12 @@
 use decos::analyzer::DiagCode;
 use decos::prelude::*;
 use decos::store::{
-    fnv1a, fnv1a_extend, frame, scan, FaultIo, FaultPlan, RoundDelta, StoreError, JOURNAL_FILE,
-    ROUND_DELTA_KIND,
+    fnv1a, fnv1a_extend, frame, scan, FaultIo, FaultPlan, RoundDelta, Store, StoreError,
+    JOURNAL_FILE, ROUND_DELTA_KIND, VEHICLE_KIND,
 };
 use decos::store_run::{
-    run_campaign_stored, run_fleet_stored, CampaignSnapshot, CampaignStore, FleetStore,
-    StorePolicy, StoreRunError,
+    run_campaign_stored, run_fleet_stored, CampaignSnapshot, CampaignStore, FleetSnapshot,
+    FleetStore, StorePolicy, StoreRunError,
 };
 
 fn reference_campaign(rounds: u64, seed: u64) -> Campaign {
@@ -173,17 +173,16 @@ fn tampered_journal_payload_fails_replay_verification() {
     // Re-framing keeps every CRC valid, so only replay verification —
     // not recovery — can catch the lie.
     let bytes = io.file(JOURNAL_FILE).unwrap();
-    let scanned = scan(&bytes);
-    assert_eq!(scanned.records.len() as u64, N);
-    assert!(scanned.torn.is_none());
     let mut forged = Vec::new();
-    for rec in &scanned.records {
-        let mut delta = RoundDelta::decode(&rec.payload).unwrap();
+    let scanned = scan(&bytes, |rec| {
+        let mut delta = RoundDelta::decode(rec.payload).unwrap();
         if rec.round == 7 {
             delta.delivered += 1;
         }
         frame::encode_record(ROUND_DELTA_KIND, rec.round, rec.seq, &delta.encode(), &mut forged);
-    }
+    });
+    assert_eq!(scanned.records, N);
+    assert!(scanned.torn.is_none());
     let io2 = FaultIo::from_files([(JOURNAL_FILE.to_string(), forged)], FaultPlan::default());
     // Carry the manifest over unchanged.
     io2.put("MANIFEST.json", io.file("MANIFEST.json").unwrap());
@@ -212,9 +211,14 @@ fn campaign_snapshots_anchor_the_journal_prefix() {
     // The snapshot's fingerprint is the streaming hash of the journal
     // prefix it claims to capture.
     let mut fp = fnv1a(b"decos-store-campaign");
-    for rec in cs.store().records().iter().take(32) {
-        fp = fnv1a_extend(fp, &rec.payload);
-    }
+    cs.store_mut()
+        .visit(|rec| {
+            if rec.round < 32 {
+                fp = fnv1a_extend(fp, rec.payload);
+            }
+            Ok(())
+        })
+        .unwrap();
     assert_eq!(snap.journal_fingerprint, fp);
     assert!(snap.delivery_quality > 0.0);
     // The embedded diagnostic report is self-consistent with the
@@ -279,9 +283,10 @@ fn fleet_crash_mid_batch_loses_at_most_the_uncommitted_batch() {
         FleetStore::open_or_create(ref_io.clone(), &spec, &cfg, &params, &opts, &policy()).unwrap();
     run_fleet_stored(&spec, cfg, params, &opts, &policy(), &mut ref_fs).unwrap();
     let clean = ref_io.file(JOURNAL_FILE).unwrap();
-    let scanned = scan(&clean);
-    assert_eq!(scanned.records.len(), 5);
-    let third_start = scanned.records[2].offset;
+    let mut scanned = Vec::new();
+    scan(&clean, |rec| scanned.push(rec));
+    assert_eq!(scanned.len(), 5);
+    let third_start = scanned[2].offset;
 
     let io = FaultIo::with_plan(FaultPlan {
         crash_after_bytes: Some(third_start + 10),
@@ -326,13 +331,15 @@ fn fleet_journal_with_a_vehicle_gap_is_rejected_as_corrupt() {
     let mut ref_fs =
         FleetStore::open_or_create(ref_io.clone(), &spec, &cfg, &params, &opts, &policy()).unwrap();
     run_fleet_stored(&spec, cfg, params, &opts, &policy(), &mut ref_fs).unwrap();
-    let records = ref_fs.store().records().to_vec();
+    let clean = ref_io.file(JOURNAL_FILE).unwrap();
+    let mut records = Vec::new();
+    scan(&clean, |rec| records.push(rec));
     let manifest = ref_fs.store().manifest().clone();
 
     let io = FaultIo::pristine();
-    let mut store = decos::store::Store::create(io.clone(), manifest).unwrap();
+    let mut store = Store::create(io.clone(), manifest).unwrap();
     for rec in [&records[0], &records[2]] {
-        store.append(rec.kind, rec.round, rec.seq, &rec.payload).unwrap();
+        store.append(rec.kind, rec.round, rec.seq, rec.payload).unwrap();
     }
     store.sync().unwrap();
     drop(store);
@@ -378,4 +385,123 @@ fn fleet_resume_below_the_committed_count_folds_exactly_that_prefix() {
     assert_eq!(out.obd, straight.obd);
     assert_eq!(out.mean_delivery_quality.to_bits(), straight.mean_delivery_quality.to_bits());
     assert_eq!(out.degraded_vehicles, straight.degraded_vehicles);
+}
+
+#[test]
+fn a_second_run_on_the_same_fleet_store_handle_extends_the_fleet() {
+    let spec = fig10::reference_spec();
+    let params = EngineParams::default();
+    let opts = decos::fleet::FleetOptions { telemetry: true, ..Default::default() };
+    let full = FleetConfig { vehicles: 6, rounds: 300, accel: 10.0, seed: 5 };
+    let half = FleetConfig { vehicles: 3, ..full };
+    let fingerprint = |out: &FleetOutcome| out.telemetry.as_ref().unwrap().counter_fingerprint();
+
+    // Half, then full, on one handle.
+    let io = FaultIo::pristine();
+    let mut fs =
+        FleetStore::open_or_create(io.clone(), &spec, &half, &params, &opts, &policy()).unwrap();
+    run_fleet_stored(&spec, half, params, &opts, &policy(), &mut fs).unwrap();
+    assert_eq!(fs.committed_vehicles(), 3, "the handle counts what it committed");
+    let (same_handle, stats) =
+        run_fleet_stored(&spec, full, params, &opts, &policy(), &mut fs).unwrap();
+    assert_eq!(stats.committed_before, 3);
+    assert_eq!(stats.verified, 3);
+    assert_eq!(stats.appended, 3);
+    assert_eq!(fs.committed_vehicles(), 6);
+
+    // Half, then full, through a reopen.
+    let io2 = FaultIo::pristine();
+    let mut fs2 =
+        FleetStore::open_or_create(io2.clone(), &spec, &half, &params, &opts, &policy()).unwrap();
+    run_fleet_stored(&spec, half, params, &opts, &policy(), &mut fs2).unwrap();
+    drop(fs2);
+    let mut fs2 =
+        FleetStore::open_or_create(io2.clone(), &spec, &full, &params, &opts, &policy()).unwrap();
+    let (reopened, _) = run_fleet_stored(&spec, full, params, &opts, &policy(), &mut fs2).unwrap();
+
+    let straight = decos::fleet::run_fleet_configured(&spec, full, params, &opts).unwrap();
+    assert_eq!(fingerprint(&same_handle), fingerprint(&reopened));
+    assert_eq!(fingerprint(&same_handle), fingerprint(&straight));
+    assert_eq!(io.file(JOURNAL_FILE), io2.file(JOURNAL_FILE), "same journal either way");
+}
+
+#[test]
+fn fleet_snapshots_follow_their_cadence_off_the_grid() {
+    let spec = fig10::reference_spec();
+    let params = EngineParams::default();
+    let opts = decos::fleet::FleetOptions::default();
+    let policy = StorePolicy { snapshot_every: 4, sync_every: 1, chunk: 2 };
+    let small = FleetConfig { vehicles: 3, rounds: 200, accel: 10.0, seed: 12 };
+    let grown = FleetConfig { vehicles: 11, ..small };
+
+    let io = FaultIo::pristine();
+    let mut fs =
+        FleetStore::open_or_create(io.clone(), &spec, &small, &params, &opts, &policy).unwrap();
+    let (_, first) = run_fleet_stored(&spec, small, params, &opts, &policy, &mut fs).unwrap();
+    assert_eq!(first.snapshots_written, 0, "batches 0..2 and 2..3 cross no multiple of 4");
+
+    // The resume starts off the grid at 3 and its batches (3..5, 5..7,
+    // 7..9, 9..11) never end on a multiple of 4; the first and third
+    // cross one.
+    let io2 = FaultIo::from_files(io.files(), FaultPlan::default());
+    let mut fs2 = FleetStore::open_or_create(io2, &spec, &grown, &params, &opts, &policy).unwrap();
+    let (_, stats) = run_fleet_stored(&spec, grown, params, &opts, &policy, &mut fs2).unwrap();
+    assert_eq!(stats.snapshots_written, 2);
+    let names = fs2.store_mut().snapshot_names().unwrap();
+    assert_eq!(names, ["snap-000000000005.json", "snap-000000000009.json"]);
+
+    // Each snapshot anchors the journal prefix it names.
+    let body = fs2.store_mut().read_snapshot(&names[1]).unwrap();
+    let snap: FleetSnapshot = serde_json::from_str(&body).unwrap();
+    assert_eq!(snap.vehicles_done, 9);
+    let mut fp = fnv1a(b"decos-store-fleet");
+    fs2.store_mut()
+        .visit(|rec| {
+            if rec.round < 9 {
+                fp = fnv1a_extend(fp, rec.payload);
+            }
+            Ok(())
+        })
+        .unwrap();
+    assert_eq!(snap.journal_fingerprint, fp);
+}
+
+#[test]
+fn a_crc_valid_vehicle_record_that_does_not_decode_is_rejected_as_corrupt() {
+    let spec = fig10::reference_spec();
+    let params = EngineParams::default();
+    let opts = decos::fleet::FleetOptions::default();
+    let cfg = FleetConfig { vehicles: 3, rounds: 200, accel: 10.0, seed: 12 };
+
+    let ref_io = FaultIo::pristine();
+    let mut ref_fs =
+        FleetStore::open_or_create(ref_io.clone(), &spec, &cfg, &params, &opts, &policy()).unwrap();
+    run_fleet_stored(&spec, cfg, params, &opts, &policy(), &mut ref_fs).unwrap();
+    let clean = ref_io.file(JOURNAL_FILE).unwrap();
+    let mut records = Vec::new();
+    scan(&clean, |rec| records.push(rec));
+    let vehicle0 = records[0].payload.to_vec();
+    let manifest = ref_fs.store().manifest().clone();
+
+    // Vehicle 1's record is framed with a valid CRC, so recovery keeps
+    // it; only decoding can tell it is wrong.
+    for (case, bad) in [
+        ("payload is not a vehicle record", b"{\"schema\": 7".to_vec()),
+        ("vehicle field disagrees with the frame header", vehicle0.clone()),
+    ] {
+        let io = FaultIo::pristine();
+        let mut store = Store::create(io.clone(), manifest.clone()).unwrap();
+        store.append(VEHICLE_KIND, 0, 0, &vehicle0).unwrap();
+        store.append(VEHICLE_KIND, 1, 1, &bad).unwrap();
+        store.sync().unwrap();
+        drop(store);
+        let before = io.files();
+
+        let err = FleetStore::open_or_create(io.clone(), &spec, &cfg, &params, &opts, &policy())
+            .and_then(|mut fs| run_fleet_stored(&spec, cfg, params, &opts, &policy(), &mut fs))
+            .err()
+            .unwrap_or_else(|| panic!("{case}: the fleet must not run"));
+        assert!(matches!(err, StoreRunError::Store(StoreError::Corrupt(_))), "{case}: got {err}");
+        assert_eq!(io.files(), before, "{case}: the store is untouched");
+    }
 }
