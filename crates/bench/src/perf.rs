@@ -24,6 +24,7 @@ use std::io::Write as _;
 use std::time::Instant;
 
 use decos::prelude::*;
+use decos::sim::telemetry::Phase;
 use serde::Serialize;
 
 use crate::Effort;
@@ -114,15 +115,16 @@ pub struct BenchReport {
 }
 
 fn phase_quantiles(snap: &TelemetrySnapshot) -> Vec<PhaseQuantiles> {
-    snap.phases
+    Phase::ALL
         .iter()
-        .map(|p| PhaseQuantiles {
-            name: p.name.clone(),
-            count: p.count,
-            mean_ns: p.mean_ns,
-            p50_ns: p.p50_ns,
-            p99_ns: p.p99_ns,
-            max_ns: p.max_ns,
+        .zip(&snap.phases)
+        .map(|(p, s)| PhaseQuantiles {
+            name: p.name().to_string(),
+            count: s.count,
+            mean_ns: s.mean_ns(),
+            p50_ns: s.quantile_ns(0.50),
+            p99_ns: s.quantile_ns(0.99),
+            max_ns: s.max_ns,
         })
         .collect()
 }

@@ -39,8 +39,7 @@ use std::collections::BTreeMap;
 /// ascending-block fold shard-count-invariant.
 pub const FLEET_BLOCK: u64 = 64;
 
-/// Fleets at or below this size keep every [`VehicleOutcome`] under
-/// [`FleetRetention::Auto`].
+/// Fleets at or below this size keep every [`VehicleOutcome`].
 pub const FULL_RETENTION_MAX: u64 = 4096;
 
 /// Approximate sample size retained for larger fleets: the stride is
@@ -75,26 +74,18 @@ pub enum FleetRetention {
     /// back to the deterministic stride sample.
     #[default]
     Auto,
-    /// Keep every vehicle regardless of fleet size (memory grows linearly
-    /// with the fleet — ask for this only when you need it).
-    Full,
-    /// Keep only the stride sample (roughly [`RETENTION_SAMPLE_TARGET`]
-    /// vehicles) even for small fleets.
-    Sample,
 }
 
 impl FleetRetention {
     /// Retention stride for a fleet of `total` vehicles: vehicles with
-    /// `index % stride == 0` are kept. Depends only on the policy and the
-    /// fleet size — never on shard count — so retained samples are
-    /// identical however the fleet was executed.
+    /// `index % stride == 0` are kept. Depends only on the fleet size —
+    /// never on shard count — so retained samples are identical however
+    /// the fleet was executed.
     pub fn stride_for(self, total: u64) -> u64 {
-        match self {
-            FleetRetention::Full => 1,
-            FleetRetention::Auto if total <= FULL_RETENTION_MAX => 1,
-            FleetRetention::Auto | FleetRetention::Sample => {
-                total.div_ceil(RETENTION_SAMPLE_TARGET).max(1)
-            }
+        if total <= FULL_RETENTION_MAX {
+            1
+        } else {
+            total.div_ceil(RETENTION_SAMPLE_TARGET)
         }
     }
 }
@@ -110,17 +101,9 @@ pub struct FleetOptions {
     /// Ids are remapped to avoid colliding with sampled fault ids; these
     /// faults are not scored as ground truth.
     pub base_faults: Vec<FaultSpec>,
-    /// Reject the fleet at pre-flight when the *base* experiment (spec +
-    /// base faults) carries DA080-series diagnosability verdicts. Applies
-    /// to the pre-flight only: per-vehicle sampled faults are single-
-    /// hypothesis ground truth by the primary-fault convention, and a
-    /// per-vehicle denial would abort the whole fleet mid-run.
-    pub deny_diagnosability: bool,
     /// Worker shards for the streaming executor; `None` = one shard per
     /// available core. The result is bit-identical for any value.
     pub shards: Option<usize>,
-    /// Per-vehicle outcome retention policy (aggregates are always exact).
-    pub retain: FleetRetention,
 }
 
 /// One vehicle's scored outcome.
@@ -384,12 +367,9 @@ impl FleetAccumulator {
             // gauges come back out of the merged round/fault counters through
             // the same `mean_latency` the campaign scope used, so the fleet
             // value is the fault-weighted fleet mean.
-            debug_assert_eq!(agg.counter(Counter::Vehicles.name()), Some(self.total));
-            debug_assert_eq!(
-                agg.counter(Counter::DegradedVehicles.name()),
-                Some(self.degraded_vehicles)
-            );
-            let counter = |c: Counter| agg.counter(c.name()).unwrap_or(0);
+            let counter = |c: Counter| agg.counters.get(c);
+            debug_assert_eq!(counter(Counter::Vehicles), self.total);
+            debug_assert_eq!(counter(Counter::DegradedVehicles), self.degraded_vehicles);
             let detect_latency = decos_sim::flightrec::mean_latency(
                 counter(Counter::DetectLatencyRounds),
                 counter(Counter::FaultsDetected),
@@ -398,18 +378,10 @@ impl FleetAccumulator {
                 counter(Counter::ConvictLatencyRounds),
                 counter(Counter::FaultsConvicted),
             );
-            let nff_ratio = self.decos.nff_ratio();
-            for g in agg.gauges.iter_mut() {
-                if g.name == Gauge::DeliveryQuality.name() {
-                    g.value = mean_delivery_quality;
-                } else if g.name == Gauge::NffRatio.name() {
-                    g.value = nff_ratio;
-                } else if g.name == Gauge::DetectLatency.name() {
-                    g.value = detect_latency;
-                } else if g.name == Gauge::ConvictLatency.name() {
-                    g.value = convict_latency;
-                }
-            }
+            agg.gauges.set(Gauge::DeliveryQuality, mean_delivery_quality);
+            agg.gauges.set(Gauge::NffRatio, self.decos.nff_ratio());
+            agg.gauges.set(Gauge::DetectLatency, detect_latency);
+            agg.gauges.set(Gauge::ConvictLatency, convict_latency);
         }
         FleetOutcome {
             vehicles: RetainedVehicles {
@@ -458,7 +430,7 @@ pub fn run_fleet_configured(
         cfg.vehicles,
         FLEET_BLOCK,
         shards,
-        || (FleetAccumulator::new(cfg.vehicles, opts.retain), None),
+        || (FleetAccumulator::new(cfg.vehicles, FleetRetention::Auto), None),
         |(acc, failed): &mut (FleetAccumulator, Option<(u64, CampaignError)>), range| {
             for v in range {
                 if failed.is_some() {
@@ -497,10 +469,7 @@ pub(crate) fn preflight(
     base.trust = params.trust;
     base.advisor = params.advisor;
     let report = analyze(&base);
-    if report.has_errors()
-        || (opts.deny_diagnosability
-            && report.diagnostics.iter().any(|d| d.code.is_diagnosability()))
-    {
+    if report.has_errors() {
         return Err(CampaignError::Rejected(report));
     }
     Ok(())
@@ -721,9 +690,7 @@ mod tests {
 
     #[test]
     fn full_retention_overrides_the_size_threshold() {
-        let total = FULL_RETENTION_MAX + 100;
-        assert_eq!(FleetRetention::Full.stride_for(total), 1);
-        assert!(FleetRetention::Auto.stride_for(total) > 1);
-        assert_eq!(FleetRetention::Sample.stride_for(24), 1, "tiny fleet: stride floors at 1");
+        assert_eq!(FleetRetention::Auto.stride_for(FULL_RETENTION_MAX), 1);
+        assert!(FleetRetention::Auto.stride_for(FULL_RETENTION_MAX + 100) > 1);
     }
 }

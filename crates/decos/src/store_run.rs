@@ -34,7 +34,7 @@
 
 use crate::fleet::{
     preflight, run_vehicle, FleetAccumulator, FleetConfig, FleetOptions, FleetOutcome,
-    VehicleOutcome,
+    FleetRetention, VehicleOutcome,
 };
 use crate::fleet_exec;
 use crate::runner::{run_campaign_opts, Campaign, CampaignError, CampaignOutcome, RunOptions};
@@ -158,12 +158,13 @@ impl StoreRunStats {
     /// Patches the store counters into a telemetry snapshot (emission
     /// paths only — see the type-level note on determinism).
     pub fn apply_to(&self, snap: &mut TelemetrySnapshot) {
-        snap.set_counter(Counter::JournalRecords.name(), self.journal_records);
-        snap.set_counter(Counter::JournalBytes.name(), self.journal_bytes);
-        snap.set_counter(Counter::JournalFsyncs.name(), self.fsyncs);
-        snap.set_counter(Counter::SnapshotsWritten.name(), self.snapshots_written);
-        snap.set_counter(Counter::StoreRecoveredRecords.name(), self.committed_before);
-        snap.set_counter(Counter::StoreQuarantinedBytes.name(), self.quarantined_bytes);
+        let c = &mut snap.counters;
+        c.set(Counter::JournalRecords, self.journal_records);
+        c.set(Counter::JournalBytes, self.journal_bytes);
+        c.set(Counter::JournalFsyncs, self.fsyncs);
+        c.set(Counter::SnapshotsWritten, self.snapshots_written);
+        c.set(Counter::StoreRecoveredRecords, self.committed_before);
+        c.set(Counter::StoreQuarantinedBytes, self.quarantined_bytes);
     }
 }
 
@@ -598,9 +599,17 @@ impl<IO: StoreIo> FleetStore<IO> {
     }
 }
 
-/// Decodes a journaled vehicle record, rejecting one whose payload does
-/// not parse or whose `vehicle` disagrees with its frame header.
-fn decode_vehicle(rec: ScanRecord<'_>) -> Result<VehicleRecord, StoreError> {
+/// Decodes a journaled vehicle record into the outcome and telemetry the
+/// fleet folds, rejecting one whose payload does not parse, whose `vehicle`
+/// disagrees with its frame header, which lacks counters in a telemetry
+/// store (or carries them in one without), or whose counters are not
+/// exactly this build's registry. The rebuilt snapshot has zero gauges
+/// (the fleet aggregator re-derives every gauge) and empty phases (wall
+/// time is not journaled).
+fn decode_vehicle(
+    rec: ScanRecord<'_>,
+    telemetry_on: bool,
+) -> Result<(VehicleOutcome, Option<TelemetrySnapshot>), StoreError> {
     let corrupt =
         |what: String| StoreError::Corrupt(format!("vehicle record {} {what}", rec.round));
     let text = core::str::from_utf8(rec.payload).map_err(|_| corrupt("is not UTF-8".into()))?;
@@ -609,20 +618,17 @@ fn decode_vehicle(rec: ScanRecord<'_>) -> Result<VehicleRecord, StoreError> {
     if vr.schema != VEHICLE_RECORD_SCHEMA || vr.vehicle != rec.round {
         return Err(corrupt("disagrees with its frame header".into()));
     }
-    Ok(vr)
-}
-
-/// Rebuilds a vehicle's telemetry snapshot from journaled counter values:
-/// counters verbatim, gauges zeroed (the fleet aggregator re-derives every
-/// gauge), phases empty (wall-time is not part of the contract).
-fn snapshot_from_counters(counters: &[CounterValue]) -> TelemetrySnapshot {
-    let mut set = CounterSet::new();
-    for c in Counter::ALL {
-        if let Some(v) = counters.iter().find(|cv| cv.name == c.name()) {
-            set.set(c, v.value);
-        }
+    if vr.counters.is_some() != telemetry_on {
+        return Err(corrupt(format!("disagrees with the store's telemetry={telemetry_on}")));
     }
-    TelemetrySnapshot::assemble(&set, &GaugeSet::new(), &Spans::default())
+    let telemetry = match vr.counters {
+        Some(values) => {
+            let counters = CounterSet::from_values(&values).map_err(corrupt)?;
+            Some(TelemetrySnapshot::assemble(&counters, &GaugeSet::new(), &Spans::disabled()))
+        }
+        None => None,
+    };
+    Ok((vr.outcome, telemetry))
 }
 
 /// Runs (or resumes) a fleet against its store. The committed prefix
@@ -656,11 +662,11 @@ pub fn run_fleet_stored<IO: StoreIo>(
     // (reused outright — the compute a resume saves), then each fresh batch
     // once it is journaled and synced, so the accumulator never gets ahead
     // of the crash-consistent prefix it summarizes.
-    let mut acc = FleetAccumulator::new(cfg.vehicles, opts.retain);
+    let mut acc = FleetAccumulator::new(cfg.vehicles, FleetRetention::Auto);
     fs.store.visit(|rec| {
         if rec.round < cfg.vehicles {
-            let vr = decode_vehicle(rec)?;
-            acc.record(rec.round, vr.outcome, vr.counters.as_deref().map(snapshot_from_counters));
+            let (outcome, telemetry) = decode_vehicle(rec, opts.telemetry)?;
+            acc.record(rec.round, outcome, telemetry);
             stats.verified += 1;
         }
         Ok(())
@@ -678,7 +684,7 @@ pub fn run_fleet_stored<IO: StoreIo>(
                 schema: VEHICLE_RECORD_SCHEMA.to_string(),
                 vehicle: v,
                 outcome: outcome.clone(),
-                counters: telemetry.as_ref().map(|t| t.counters.clone()),
+                counters: telemetry.as_ref().map(|t| t.counters.to_values()),
             };
             let payload = serde_json::to_string(&vr)
                 .map_err(|e| StoreError::Corrupt(format!("vehicle serialization: {e}")))?;

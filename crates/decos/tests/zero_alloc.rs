@@ -9,7 +9,9 @@
 //! integrated diagnostic engine, OBD baseline, metrics recorder) runs on
 //! reused buffers alone. The same stretch is then repeated with telemetry
 //! enabled: the instrumentation may read the clock but must not allocate
-//! either (all counters and histograms are fixed inline arrays).
+//! either (all counters and histograms are fixed inline arrays), and
+//! neither may snapshotting those registries or folding the snapshots the
+//! way a fleet does.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -130,6 +132,35 @@ fn fault_free_steady_state_allocates_nothing() {
             .all(|p| spans.stat(*p).count > 0),
         "enabled spans must have recorded laps"
     );
+
+    // A snapshot is a copy of those registries: building one from the live
+    // sim/engine state and merging it into a fleet aggregate stays off the
+    // heap too.
+    use decos::sim::telemetry::{Counter, CounterSet, Gauge, GaugeSet, Spans, TelemetrySnapshot};
+    let before = ALLOCATIONS.load(Relaxed);
+    let mut counters = CounterSet::new();
+    counters.set(Counter::SymptomsOffered, engine.dissemination_stats().offered);
+    counters.set(Counter::OnaMatches, engine.ona_matches());
+    counters.set(Counter::Vehicles, 1);
+    let mut gauges = GaugeSet::new();
+    gauges.set(Gauge::DeliveryQuality, engine.delivery_quality());
+    let mut spans = *sim.telemetry_spans();
+    spans.merge(engine.telemetry_spans());
+    let snap = TelemetrySnapshot::assemble(&counters, &gauges, &spans);
+    let mut fleet =
+        TelemetrySnapshot::assemble(&CounterSet::new(), &GaugeSet::new(), &Spans::disabled());
+    fleet.merge(&snap);
+    fleet.merge(&snap);
+    let after = ALLOCATIONS.load(Relaxed);
+
+    assert_eq!(
+        after - before,
+        0,
+        "building and merging a telemetry snapshot must not allocate (got {} allocations)",
+        after - before
+    );
+    assert_eq!(fleet.counter("vehicles"), Some(2));
+    assert_eq!(fleet.phases[0].count, 2 * spans.stat(decos::sim::telemetry::Phase::Kernel).count);
 
     // The flight recorder holds it too: the ring is allocated once at
     // enable time, events are written in place, and a fault-free run emits

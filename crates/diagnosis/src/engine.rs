@@ -488,7 +488,7 @@ impl DiagnosticEngine {
     /// the pipeline (detect → dissemination → state → ONA → trust). Off by
     /// default so uninstrumented runs never read the wall clock.
     pub fn enable_telemetry(&mut self) {
-        self.spans.enable_sampled(decos_sim::telemetry::SPAN_SAMPLE_STRIDE);
+        self.spans.enable();
     }
 
     /// The recorded diagnostic-side spans (empty unless

@@ -571,7 +571,7 @@ impl ClusterSim {
     /// the slot pipeline ([`Phase::Kernel`] and [`Phase::TtNet`]). Off by
     /// default so uninstrumented runs never read the wall clock.
     pub fn enable_telemetry(&mut self) {
-        self.spans.enable_sampled(decos_sim::telemetry::SPAN_SAMPLE_STRIDE);
+        self.spans.enable();
     }
 
     /// The recorded simulation-side spans (empty unless

@@ -17,7 +17,9 @@
 //! while wall-time fields vary run to run and are excluded from the
 //! determinism contract.
 
+use serde::value::{field, DeError, Value};
 use serde::{Deserialize, Serialize};
+use std::fmt::Write as _;
 use std::time::Instant;
 
 /// Pipeline phases of the slot loop, in execution order.
@@ -355,11 +357,6 @@ impl SpanStats {
         self.buckets[Self::bucket_of(ns)] += 1;
     }
 
-    /// The raw log₂ histogram.
-    pub fn buckets(&self) -> &[u64; SPAN_BUCKETS] {
-        &self.buckets
-    }
-
     /// Merges another phase's statistics (fleet aggregation).
     pub fn merge(&mut self, other: &SpanStats) {
         self.count += other.count;
@@ -383,23 +380,19 @@ impl SpanStats {
     /// pessimistic within a factor of two, which is what a trend gate
     /// needs, not a profiler).
     pub fn quantile_ns(&self, q: f64) -> u64 {
-        quantile_from_buckets(&self.buckets, self.count, q)
-    }
-}
-
-fn quantile_from_buckets(buckets: &[u64], count: u64, q: f64) -> u64 {
-    if count == 0 {
-        return 0;
-    }
-    let rank = ((q.clamp(0.0, 1.0) * count as f64).ceil() as u64).max(1);
-    let mut seen = 0u64;
-    for (k, n) in buckets.iter().enumerate() {
-        seen += n;
-        if seen >= rank {
-            return if k + 1 >= 64 { u64::MAX } else { (1u64 << (k + 1)) - 1 };
+        if self.count == 0 {
+            return 0;
         }
+        let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
+        let mut seen = 0u64;
+        for (k, n) in self.buckets.iter().enumerate() {
+            seen += n;
+            if seen >= rank {
+                return if k + 1 >= 64 { u64::MAX } else { (1u64 << (k + 1)) - 1 };
+            }
+        }
+        u64::MAX
     }
-    u64::MAX
 }
 
 /// Per-phase wall-time spans for the whole pipeline, preallocated.
@@ -422,17 +415,9 @@ fn quantile_from_buckets(buckets: &[u64], count: u64, q: f64) -> u64 {
 #[derive(Debug, Clone, Copy)]
 pub struct Spans {
     enabled: bool,
-    /// Clock-read stride: every `stride`-th `begin` sequence is timed.
-    stride: u32,
-    /// Position within the current stride window.
+    /// Position within the current [`SPAN_SAMPLE_STRIDE`] window.
     tick: u32,
     stats: [SpanStats; Phase::COUNT],
-}
-
-impl Default for Spans {
-    fn default() -> Self {
-        Self::disabled()
-    }
 }
 
 /// Default sampling stride for the hot slot loop: one timed slot per
@@ -447,29 +432,16 @@ pub const SPAN_SAMPLE_STRIDE: u32 = 16;
 impl Spans {
     /// Inert spans: recording is a no-op, the clock is never read.
     pub const fn disabled() -> Self {
-        Spans { enabled: false, stride: 1, tick: 0, stats: [SpanStats::ZERO; Phase::COUNT] }
+        Spans { enabled: false, tick: 0, stats: [SpanStats::ZERO; Phase::COUNT] }
     }
 
-    /// Turns recording on, timing every `begin` sequence.
-    pub fn enable(&mut self) {
-        self.enabled = true;
-        self.stride = 1;
-        self.tick = 0;
-    }
-
-    /// Turns recording on with 1-in-`stride` sampling: only every
-    /// `stride`-th `begin` sequence reads the clock (the first one
+    /// Turns recording on with 1-in-[`SPAN_SAMPLE_STRIDE`] sampling: only
+    /// every stride-th `begin` sequence reads the clock (the first one
     /// samples immediately, so even short runs record at least one span
     /// per exercised phase). Laps between sampled begins are no-ops.
-    pub fn enable_sampled(&mut self, stride: u32) {
+    pub fn enable(&mut self) {
         self.enabled = true;
-        self.stride = stride.max(1);
-        self.tick = self.stride - 1;
-    }
-
-    /// Whether recording is on.
-    pub fn enabled(&self) -> bool {
-        self.enabled
+        self.tick = SPAN_SAMPLE_STRIDE - 1;
     }
 
     /// Starts a phase sequence: `Some(now)` on a sampled sequence, `None`
@@ -479,7 +451,7 @@ impl Spans {
             return None;
         }
         self.tick += 1;
-        if self.tick >= self.stride {
+        if self.tick >= SPAN_SAMPLE_STRIDE {
             self.tick = 0;
             Some(Instant::now())
         } else {
@@ -513,7 +485,8 @@ impl Spans {
     }
 }
 
-/// One counter in a snapshot.
+/// One counter on the wire: the snapshot's JSON `counters` array and a
+/// journaled fleet vehicle's counters are lists of these, registry order.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CounterValue {
     /// Registry name.
@@ -522,105 +495,64 @@ pub struct CounterValue {
     pub value: u64,
 }
 
-/// One gauge in a snapshot.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct GaugeValue {
-    /// Registry name.
-    pub name: String,
-    /// Value.
-    pub value: f64,
+impl CounterSet {
+    /// The wire form: every counter with its registry name, registry order.
+    pub fn to_values(&self) -> Vec<CounterValue> {
+        Counter::ALL
+            .iter()
+            .map(|c| CounterValue { name: c.name().to_string(), value: self.get(*c) })
+            .collect()
+    }
+
+    /// Reads the wire form back, rejecting any list that is not exactly
+    /// this registry — every counter once, in registry order, under its
+    /// registry name — so values written by another registry version never
+    /// land in the wrong counter.
+    pub fn from_values(values: &[CounterValue]) -> Result<Self, String> {
+        if !values.iter().map(|v| v.name.as_str()).eq(Counter::ALL.map(Counter::name)) {
+            return Err("counters are not this build's registry".to_string());
+        }
+        let mut set = CounterSet::new();
+        for (c, v) in Counter::ALL.iter().zip(values) {
+            set.set(*c, v.value);
+        }
+        Ok(set)
+    }
 }
 
-/// One phase's timing in a snapshot. All fields here are wall-clock
-/// derived and **excluded** from the determinism contract except `count`,
-/// which is a pure function of the simulated horizon.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PhaseSnapshot {
-    /// Registry name.
-    pub name: String,
-    /// Spans recorded (deterministic).
-    pub count: u64,
-    /// Summed duration, nanoseconds.
-    pub total_ns: u64,
-    /// Mean duration, nanoseconds.
-    pub mean_ns: f64,
-    /// p50 estimate (log₂ bucket upper bound), nanoseconds.
-    pub p50_ns: u64,
-    /// p99 estimate (log₂ bucket upper bound), nanoseconds.
-    pub p99_ns: u64,
-    /// Longest span, nanoseconds.
-    pub max_ns: u64,
-    /// The raw log₂ histogram (bucket `k` ≈ `[2^k, 2^(k+1))` ns), kept so
-    /// snapshots merge exactly.
-    pub buckets: Vec<u64>,
-}
-
-/// A serializable point-in-time view of the whole telemetry layer:
-/// the full counter and gauge registries plus per-phase timing.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// A point-in-time copy of the whole telemetry layer: the counter and
+/// gauge registries plus per-phase timing, held as the fixed registry
+/// arrays themselves. Names appear only where the snapshot is rendered:
+/// [`Self::counter`] / [`Self::gauge`], [`Self::counter_fingerprint`] and
+/// JSON, whose shape is `{name, value}` arrays in registry order and one
+/// `{name, count, total_ns, mean_ns, p50_ns, p99_ns, max_ns, buckets}`
+/// object per phase.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TelemetrySnapshot {
-    /// Every registered counter, registry order.
-    pub counters: Vec<CounterValue>,
-    /// Every registered gauge, registry order.
-    pub gauges: Vec<GaugeValue>,
-    /// Every registered phase, pipeline order.
-    pub phases: Vec<PhaseSnapshot>,
+    /// The counter registry.
+    pub counters: CounterSet,
+    /// The gauge registry.
+    pub gauges: GaugeSet,
+    /// Every registered phase, pipeline order. Wall-clock derived and
+    /// **excluded** from the determinism contract, except each `count`,
+    /// which is a pure function of the simulated horizon.
+    pub phases: [SpanStats; Phase::COUNT],
 }
 
 impl TelemetrySnapshot {
     /// Assembles a snapshot from live storage.
     pub fn assemble(counters: &CounterSet, gauges: &GaugeSet, spans: &Spans) -> Self {
-        TelemetrySnapshot {
-            counters: Counter::ALL
-                .iter()
-                .map(|c| CounterValue { name: c.name().to_string(), value: counters.get(*c) })
-                .collect(),
-            gauges: Gauge::ALL
-                .iter()
-                .map(|g| GaugeValue { name: g.name().to_string(), value: gauges.get(*g) })
-                .collect(),
-            phases: Phase::ALL
-                .iter()
-                .map(|p| {
-                    let s = spans.stat(*p);
-                    PhaseSnapshot {
-                        name: p.name().to_string(),
-                        count: s.count,
-                        total_ns: s.total_ns,
-                        mean_ns: s.mean_ns(),
-                        p50_ns: s.quantile_ns(0.50),
-                        p99_ns: s.quantile_ns(0.99),
-                        max_ns: s.max_ns,
-                        buckets: s.buckets().to_vec(),
-                    }
-                })
-                .collect(),
-        }
+        TelemetrySnapshot { counters: *counters, gauges: *gauges, phases: spans.stats }
     }
 
     /// Value of one counter by registry name.
     pub fn counter(&self, name: &str) -> Option<u64> {
-        self.counters.iter().find(|c| c.name == name).map(|c| c.value)
-    }
-
-    /// Overwrites one counter by registry name, returning whether the
-    /// name was found. The campaign store patches its `journal_*` /
-    /// `store_*` counters into emitted snapshots with this — *after* the
-    /// determinism fingerprint is taken, since I/O counters legitimately
-    /// differ between a straight run and a resumed one.
-    pub fn set_counter(&mut self, name: &str, value: u64) -> bool {
-        match self.counters.iter_mut().find(|c| c.name == name) {
-            Some(c) => {
-                c.value = value;
-                true
-            }
-            None => false,
-        }
+        Counter::ALL.iter().find(|c| c.name() == name).map(|c| self.counters.get(*c))
     }
 
     /// Value of one gauge by registry name.
     pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.iter().find(|g| g.name == name).map(|g| g.value)
+        Gauge::ALL.iter().find(|g| g.name() == name).map(|g| self.gauges.get(*g))
     }
 
     /// The deterministic part of the snapshot as one canonical string:
@@ -628,44 +560,105 @@ impl TelemetrySnapshot {
     /// produce byte-identical fingerprints; wall-time fields are excluded.
     pub fn counter_fingerprint(&self) -> String {
         let mut s = String::new();
-        for c in &self.counters {
-            s.push_str(&c.name);
-            s.push('=');
-            s.push_str(&c.value.to_string());
-            s.push(';');
+        for c in Counter::ALL {
+            let _ = write!(s, "{}={};", c.name(), self.counters.get(c));
         }
-        for g in &self.gauges {
-            s.push_str(&g.name);
-            s.push('=');
-            s.push_str(&format!("{:?}", g.value));
-            s.push(';');
+        for g in Gauge::ALL {
+            let _ = write!(s, "{}={:?};", g.name(), self.gauges.get(g));
         }
         s
     }
 
-    /// Merges another snapshot (fleet aggregation): counters sum,
-    /// phase histograms add and quantiles are recomputed. Gauges are
-    /// **not** merged — ratios don't sum; the aggregating caller must
-    /// re-set them from the aggregate outcome.
+    /// Merges another snapshot (fleet aggregation): counters and phase
+    /// statistics add element-wise. Gauges are **not** merged — ratios
+    /// don't sum; the aggregating caller must re-set them from the
+    /// aggregate outcome.
     pub fn merge(&mut self, other: &TelemetrySnapshot) {
-        debug_assert_eq!(self.counters.len(), other.counters.len());
-        for (a, b) in self.counters.iter_mut().zip(&other.counters) {
-            debug_assert_eq!(a.name, b.name, "registry order must match");
-            a.value += b.value;
-        }
-        debug_assert_eq!(self.phases.len(), other.phases.len());
+        self.counters.merge(&other.counters);
         for (a, b) in self.phases.iter_mut().zip(&other.phases) {
-            debug_assert_eq!(a.name, b.name, "phase order must match");
-            a.count += b.count;
-            a.total_ns += b.total_ns;
-            a.max_ns = a.max_ns.max(b.max_ns);
-            for (x, y) in a.buckets.iter_mut().zip(&b.buckets) {
-                *x += y;
-            }
-            a.mean_ns = if a.count == 0 { 0.0 } else { a.total_ns as f64 / a.count as f64 };
-            a.p50_ns = quantile_from_buckets(&a.buckets, a.count, 0.50);
-            a.p99_ns = quantile_from_buckets(&a.buckets, a.count, 0.99);
+            a.merge(b);
         }
+    }
+}
+
+/// A JSON object from `(key, value)` pairs, in order.
+fn object<const N: usize>(fields: [(&str, Value); N]) -> Value {
+    Value::Map(fields.into_iter().map(|(k, v)| (Value::Str(k.to_string()), v)).collect())
+}
+
+/// The `key` array of a snapshot document, rejected unless its entries
+/// carry exactly the registry `names`, in order.
+fn registry_entries<'v, const N: usize>(
+    m: &'v [(Value, Value)],
+    key: &str,
+    names: [&str; N],
+) -> Result<Vec<&'v [(Value, Value)]>, DeError> {
+    let entries =
+        field(m, key)?.as_seq()?.iter().map(Value::as_map).collect::<Result<Vec<_>, _>>()?;
+    let found =
+        entries.iter().map(|e| field(e, "name")?.as_str()).collect::<Result<Vec<_>, _>>()?;
+    if found != names {
+        return Err(DeError::new(format!("{key} are not this build's registry")));
+    }
+    Ok(entries)
+}
+
+impl Serialize for TelemetrySnapshot {
+    fn to_value(&self) -> Value {
+        let gauges = Gauge::ALL
+            .iter()
+            .map(|g| {
+                object([("name", g.name().to_value()), ("value", self.gauges.get(*g).to_value())])
+            })
+            .collect();
+        let phases = Phase::ALL
+            .iter()
+            .zip(&self.phases)
+            .map(|(p, s)| {
+                object([
+                    ("name", p.name().to_value()),
+                    ("count", s.count.to_value()),
+                    ("total_ns", s.total_ns.to_value()),
+                    ("mean_ns", s.mean_ns().to_value()),
+                    ("p50_ns", s.quantile_ns(0.50).to_value()),
+                    ("p99_ns", s.quantile_ns(0.99).to_value()),
+                    ("max_ns", s.max_ns.to_value()),
+                    ("buckets", s.buckets.to_value()),
+                ])
+            })
+            .collect();
+        object([
+            ("counters", self.counters.to_values().to_value()),
+            ("gauges", Value::Seq(gauges)),
+            ("phases", Value::Seq(phases)),
+        ])
+    }
+}
+
+impl Deserialize for TelemetrySnapshot {
+    /// The inverse of [`Serialize`], rejecting a document whose counters,
+    /// gauges or phases are not exactly this registry. Phase means and
+    /// quantiles are derived from the histogram, so they are not read.
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        let m = v.as_map()?;
+        let counters = Vec::<CounterValue>::from_value(field(m, "counters")?)?;
+        let counters = CounterSet::from_values(&counters).map_err(DeError::new)?;
+        let mut gauges = GaugeSet::new();
+        let entries = registry_entries(m, "gauges", Gauge::ALL.map(Gauge::name))?;
+        for (g, e) in Gauge::ALL.iter().zip(entries) {
+            gauges.set(*g, field(e, "value")?.as_f64()?);
+        }
+        let mut phases = [SpanStats::ZERO; Phase::COUNT];
+        let entries = registry_entries(m, "phases", Phase::ALL.map(Phase::name))?;
+        for (s, e) in phases.iter_mut().zip(entries) {
+            *s = SpanStats {
+                count: field(e, "count")?.as_u64()?,
+                total_ns: field(e, "total_ns")?.as_u64()?,
+                max_ns: field(e, "max_ns")?.as_u64()?,
+                buckets: Deserialize::from_value(field(e, "buckets")?)?,
+            };
+        }
+        Ok(TelemetrySnapshot { counters, gauges, phases })
     }
 }
 
@@ -718,7 +711,7 @@ mod tests {
         }
         assert_eq!(s.count, 5);
         assert_eq!(s.max_ns, 1_000_000);
-        assert_eq!(s.buckets().iter().sum::<u64>(), 5);
+        assert_eq!(s.buckets.iter().sum::<u64>(), 5);
         // p50 of {1,2,3,1000,1e6} lands in the bucket containing 3.
         assert!(s.quantile_ns(0.5) < 1000, "p50 {}", s.quantile_ns(0.5));
         assert!(s.quantile_ns(0.99) >= 1_000_000);
@@ -765,20 +758,81 @@ mod tests {
         spans.stats[Phase::Kernel.index()] = s1;
 
         let mut a = TelemetrySnapshot::assemble(&counters, &gauges, &spans);
-        let b = a.clone();
+        let b = a;
         a.merge(&b);
         assert_eq!(a.counter("vehicles"), Some(2));
         assert_eq!(a.counter("slots_simulated"), Some(200));
         assert_eq!(a.phases[0].count, 2);
         assert_eq!(a.phases[0].buckets.iter().sum::<u64>(), 2);
+        assert_eq!(a.phases[0].quantile_ns(0.99), 15, "quantiles read the merged histogram");
     }
+
+    /// The snapshot JSON shape BENCH files and their readers depend on.
+    const GOLDEN_JSON: &str = concat!(
+        r#"{"counters":[{"name":"slots_simulated","value":4000},"#,
+        r#"{"name":"rounds_simulated","value":0},{"name":"symptoms_offered","value":0},"#,
+        r#"{"name":"symptoms_delivered","value":0},{"name":"symptoms_dropped","value":0},"#,
+        r#"{"name":"frames_corrupted","value":0},{"name":"frames_rejected","value":0},"#,
+        r#"{"name":"frames_delayed","value":0},{"name":"frames_forged_suspected","value":0},"#,
+        r#"{"name":"ona_matches","value":0},{"name":"trust_frozen_rounds","value":0},"#,
+        r#"{"name":"failovers","value":0},{"name":"crashed_rounds","value":0},"#,
+        r#"{"name":"vehicles","value":2},{"name":"degraded_vehicles","value":0},"#,
+        r#"{"name":"faults_injected","value":0},{"name":"faults_detected","value":0},"#,
+        r#"{"name":"faults_convicted","value":0},{"name":"wrong_fru_convictions","value":0},"#,
+        r#"{"name":"detect_latency_rounds","value":0},"#,
+        r#"{"name":"convict_latency_rounds","value":0},{"name":"journal_records","value":0},"#,
+        r#"{"name":"journal_bytes","value":0},{"name":"journal_fsyncs","value":0},"#,
+        r#"{"name":"snapshots_written","value":0},{"name":"store_recovered_records","value":0},"#,
+        r#"{"name":"store_quarantined_bytes","value":18446744073709551615}],"gauges":["#,
+        r#"{"name":"delivery_quality","value":0.75},{"name":"nff_ratio","value":0.0},"#,
+        r#"{"name":"detect_latency","value":0.0},"#,
+        r#"{"name":"convict_latency","value":0.3333333333333333}],"phases":["#,
+        r#"{"name":"kernel","count":3,"total_ns":1007,"mean_ns":335.6666666666667,"p50_ns":7,"#,
+        r#""p99_ns":1023,"max_ns":1000,"buckets":[1,0,1,0,0,0,0,0,0,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,"#,
+        r#"0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0]},"#,
+        r#"{"name":"ttnet","count":0,"total_ns":0,"mean_ns":0.0,"p50_ns":0,"p99_ns":0,"max_ns":0,"#,
+        r#""buckets":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,"#,
+        r#"0,0]},"#,
+        r#"{"name":"detect","count":0,"total_ns":0,"mean_ns":0.0,"p50_ns":0,"p99_ns":0,"max_ns":0,"#,
+        r#""buckets":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,"#,
+        r#"0,0]},"#,
+        r#"{"name":"dissemination","count":0,"total_ns":0,"mean_ns":0.0,"p50_ns":0,"p99_ns":0,"#,
+        r#""max_ns":0,"buckets":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,"#,
+        r#"0,0,0,0,0,0,0]},"#,
+        r#"{"name":"state","count":0,"total_ns":0,"mean_ns":0.0,"p50_ns":0,"p99_ns":0,"max_ns":0,"#,
+        r#""buckets":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,"#,
+        r#"0,0]},"#,
+        r#"{"name":"ona","count":1,"total_ns":5000000,"mean_ns":5000000.0,"p50_ns":8388607,"#,
+        r#""p99_ns":8388607,"max_ns":5000000,"buckets":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,"#,
+        r#"0,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0]},"#,
+        r#"{"name":"trust","count":0,"total_ns":0,"mean_ns":0.0,"p50_ns":0,"p99_ns":0,"max_ns":0,"#,
+        r#""buckets":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,"#,
+        r#"0,0]}]}"#,
+    );
 
     #[test]
     fn snapshot_roundtrips_through_json() {
-        let snap =
-            TelemetrySnapshot::assemble(&CounterSet::new(), &GaugeSet::new(), &Spans::disabled());
+        let mut counters = CounterSet::new();
+        counters.set(Counter::SlotsSimulated, 4000);
+        counters.set(Counter::Vehicles, 2);
+        counters.set(Counter::StoreQuarantinedBytes, u64::MAX);
+        let mut gauges = GaugeSet::new();
+        gauges.set(Gauge::DeliveryQuality, 0.75);
+        gauges.set(Gauge::ConvictLatency, 1.0 / 3.0);
+        let mut spans = Spans::disabled();
+        for ns in [0, 7, 1000] {
+            spans.stats[Phase::Kernel.index()].record_ns(ns);
+        }
+        spans.stats[Phase::Ona.index()].record_ns(5_000_000);
+        let snap = TelemetrySnapshot::assemble(&counters, &gauges, &spans);
         let json = serde_json::to_string(&snap).expect("serializable");
+        assert_eq!(json, GOLDEN_JSON);
         let back: TelemetrySnapshot = serde_json::from_str(&json).expect("deserializable");
         assert_eq!(snap, back);
+        // A document from another registry version does not decode.
+        for (from, to) in [("ona_matches", "ona_hits"), ("nff_ratio", "nff"), ("ttnet", "bus")] {
+            let renamed = json.replace(&format!("\"{from}\""), &format!("\"{to}\""));
+            assert!(serde_json::from_str::<TelemetrySnapshot>(&renamed).is_err(), "{from}");
+        }
     }
 }

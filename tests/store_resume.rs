@@ -16,7 +16,7 @@ use decos::store::{
 };
 use decos::store_run::{
     run_campaign_stored, run_fleet_stored, CampaignSnapshot, CampaignStore, FleetSnapshot,
-    FleetStore, StorePolicy, StoreRunError,
+    FleetStore, StorePolicy, StoreRunError, VehicleRecord,
 };
 
 fn reference_campaign(rounds: u64, seed: u64) -> Campaign {
@@ -470,7 +470,7 @@ fn fleet_snapshots_follow_their_cadence_off_the_grid() {
 fn a_crc_valid_vehicle_record_that_does_not_decode_is_rejected_as_corrupt() {
     let spec = fig10::reference_spec();
     let params = EngineParams::default();
-    let opts = decos::fleet::FleetOptions::default();
+    let opts = decos::fleet::FleetOptions { telemetry: true, ..Default::default() };
     let cfg = FleetConfig { vehicles: 3, rounds: 200, accel: 10.0, seed: 12 };
 
     let ref_io = FaultIo::pristine();
@@ -481,6 +481,11 @@ fn a_crc_valid_vehicle_record_that_does_not_decode_is_rejected_as_corrupt() {
     let mut records = Vec::new();
     scan(&clean, |rec| records.push(rec));
     let vehicle0 = records[0].payload.to_vec();
+    let vehicle1 = String::from_utf8(records[1].payload.to_vec()).unwrap();
+    let renamed = vehicle1.replacen(r#""name":"ona_matches""#, r#""name":"ona_hits""#, 1);
+    assert_ne!(renamed, vehicle1, "vehicle records journal their counters");
+    let mut uncounted: VehicleRecord = serde_json::from_str(&vehicle1).unwrap();
+    uncounted.counters = None;
     let manifest = ref_fs.store().manifest().clone();
 
     // Vehicle 1's record is framed with a valid CRC, so recovery keeps
@@ -488,6 +493,11 @@ fn a_crc_valid_vehicle_record_that_does_not_decode_is_rejected_as_corrupt() {
     for (case, bad) in [
         ("payload is not a vehicle record", b"{\"schema\": 7".to_vec()),
         ("vehicle field disagrees with the frame header", vehicle0.clone()),
+        ("a counter is not in this registry", renamed.into_bytes()),
+        (
+            "counters missing in a telemetry store",
+            serde_json::to_string(&uncounted).unwrap().into_bytes(),
+        ),
     ] {
         let io = FaultIo::pristine();
         let mut store = Store::create(io.clone(), manifest.clone()).unwrap();
