@@ -8,9 +8,9 @@
 //! ground truth — produces warnings at most, otherwise fault-injection
 //! experiments could never run.
 
-use crate::coverage::{unavailability, PATTERN_CATALOG};
 use crate::experiment::ExperimentSpec;
 use crate::report::{AnalysisReport, DiagCode, Diagnostic, Severity, Subject};
+use decos_diagnosis::model::{self, Pattern};
 use decos_faults::{FaultClass, FaultKind, FaultSpec, FruRef};
 use decos_platform::{ClusterSpec, Criticality, JobBehavior, JobSpec, SpecError};
 use decos_vnet::VnetConfig;
@@ -41,7 +41,8 @@ pub fn analyze(exp: &ExperimentSpec<'_>) -> AnalysisReport {
 
 /// DA080–DA082: bounded n-diagnosability over the campaign scope.
 ///
-/// Runs only for bounded campaign experiments (`rounds > 0`, at least one
+/// Runs only for bounded campaign experiments (a positive horizon, at
+/// least one fault; in a horizon of 0 rounds DA041 already rejects every
 /// fault): derives each distinct `(kind, FRU)` hypothesis' n-round symptom
 /// signature and lints pairs the maintenance advisor could confuse into a
 /// *wrong* action (observation-equivalent pairs differing in FRU or
@@ -51,11 +52,14 @@ pub fn analyze(exp: &ExperimentSpec<'_>) -> AnalysisReport {
 /// ambiguity experiment is still an experiment), they just cannot support
 /// the paper's pinned-FRU maintenance claim.
 fn check_diagnosability(exp: &ExperimentSpec<'_>, r: &mut AnalysisReport) {
-    if exp.rounds == 0 || exp.faults.is_empty() {
+    let Some(rounds) = exp.rounds.filter(|&h| h > 0) else {
+        return;
+    };
+    if exp.faults.is_empty() {
         return;
     }
     let hypotheses = crate::diagnosability::campaign_hypotheses(exp);
-    let report = crate::diagnosability::analyze_diagnosability(exp, hypotheses, exp.rounds);
+    let report = crate::diagnosability::analyze_diagnosability(exp, hypotheses, rounds);
     let subject = |h: &crate::diagnosability::Hypothesis| match h.fru {
         FruRef::Component(n) => Subject::Component(n),
         FruRef::Job(j) => Subject::Job(j),
@@ -72,7 +76,7 @@ fn check_diagnosability(exp: &ExperimentSpec<'_>, r: &mut AnalysisReport) {
                 "{} reaches no ONA pattern within {} rounds: invisible to the diagnostic \
                  architecture",
                 h.label(),
-                exp.rounds
+                rounds
             ),
         )
         .with(subject(h))
@@ -108,7 +112,7 @@ fn check_diagnosability(exp: &ExperimentSpec<'_>, r: &mut AnalysisReport) {
                 "{} and {} are observation-equivalent within {} rounds; witness: [{}]",
                 a.label(),
                 b.label(),
-                exp.rounds,
+                rounds,
                 witness
             ),
         )
@@ -131,7 +135,7 @@ fn check_diagnosability(exp: &ExperimentSpec<'_>, r: &mut AnalysisReport) {
         }
         let h = &report.hypotheses[i];
         if let Some(conviction) = sig.conviction_round(exp.advisor.min_evidence) {
-            if conviction > exp.rounds {
+            if conviction > rounds {
                 let mut d = Diagnostic::new(
                     DiagCode::HorizonTooShortForConviction,
                     Severity::Warning,
@@ -139,7 +143,7 @@ fn check_diagnosability(exp: &ExperimentSpec<'_>, r: &mut AnalysisReport) {
                         "{} is observable but cannot accumulate conviction evidence before \
                          round {conviction}; the horizon is {} rounds",
                         h.label(),
-                        exp.rounds
+                        rounds
                     ),
                 )
                 .with(subject(h))
@@ -591,23 +595,37 @@ fn check_tmr(exp: &ExperimentSpec<'_>, r: &mut AnalysisReport) {
     }
 }
 
-/// ONA coverage: every taxonomy class must map to ≥ 1 available pattern.
+/// ONA parameters the pattern bank cannot run with (DA022), and ONA
+/// coverage: every taxonomy class must map to ≥ 1 available pattern
+/// (DA020/DA021).
 fn check_coverage(exp: &ExperimentSpec<'_>, r: &mut AnalysisReport) {
+    if let Some(reason) = model::params_error(&exp.ona) {
+        r.push(
+            Diagnostic::new(
+                DiagCode::OnaParamsRejected,
+                Severity::Error,
+                format!("the ONA bank rejects its parameters: {reason}"),
+            )
+            .suggest(
+                "use an alpha decay in [0, 1), a positive threshold and a judgement interval \
+                 of at least one round",
+            ),
+        );
+    }
     let injected: BTreeSet<FaultClass> = exp.faults.iter().map(FaultSpec::class).collect();
     for class in FaultClass::ALL {
-        let patterns: Vec<_> = PATTERN_CATALOG.iter().filter(|p| p.class == class).collect();
         let mut reasons = Vec::new();
         let mut covered = false;
-        for p in &patterns {
-            match unavailability(p, &exp.ona, exp.rounds) {
+        for p in Pattern::ALL.into_iter().filter(|p| p.class() == class) {
+            match model::unavailability(p, &exp.ona, exp.rounds) {
                 None => covered = true,
                 Some(reason) => {
-                    reasons.push(format!("{}: {reason}", p.name));
+                    reasons.push(format!("{p}: {reason}"));
                     r.push(
                         Diagnostic::new(
                             DiagCode::OnaPatternUnavailable,
                             Severity::Info,
-                            format!("pattern {} cannot fire: {reason}", p.name),
+                            format!("pattern {p} cannot fire: {reason}"),
                         )
                         .with(Subject::Class(class)),
                     );
@@ -623,14 +641,7 @@ fn check_coverage(exp: &ExperimentSpec<'_>, r: &mut AnalysisReport) {
                 Diagnostic::new(
                     DiagCode::UncoveredFaultClass,
                     sev,
-                    format!(
-                        "no enabled ONA pattern can indicate {class} ({})",
-                        if reasons.is_empty() {
-                            "the catalog has no pattern for it".to_string()
-                        } else {
-                            reasons.join("; ")
-                        }
-                    ),
+                    format!("no enabled ONA pattern can indicate {class} ({})", reasons.join("; ")),
                 )
                 .with(Subject::Class(class))
                 .suggest("re-enable or re-parameterize a pattern covering this class"),
@@ -734,7 +745,7 @@ fn check_campaign(exp: &ExperimentSpec<'_>, r: &mut AnalysisReport) {
         );
     }
     let round_secs = exp.round_secs();
-    let horizon_secs = round_secs * exp.rounds as f64;
+    let horizon_secs = round_secs * exp.rounds.unwrap_or(0) as f64;
     let horizon_hours = horizon_secs / 3600.0;
     let slot_secs = exp.cluster.slot_len.as_secs_f64();
     let mut seen_ids: BTreeMap<u32, usize> = BTreeMap::new();
@@ -783,7 +794,7 @@ fn check_campaign(exp: &ExperimentSpec<'_>, r: &mut AnalysisReport) {
         }
 
         // Onset inside the horizon.
-        if exp.rounds > 0 && f.onset.as_secs_f64() >= horizon_secs {
+        if exp.rounds.is_some() && f.onset.as_secs_f64() >= horizon_secs {
             r.push(
                 Diagnostic::new(
                     DiagCode::OnsetBeyondHorizon,
@@ -1053,7 +1064,7 @@ fn check_diag_path(exp: &ExperimentSpec<'_>, r: &mut AnalysisReport) {
     for f in exp.faults {
         match f.kind {
             FaultKind::DiagFrameDelay { delay_rounds }
-                if exp.rounds > 0 && u64::from(delay_rounds) >= exp.rounds =>
+                if exp.rounds.is_some_and(|h| u64::from(delay_rounds) >= h) =>
             {
                 r.push(
                     Diagnostic::new(
@@ -1062,7 +1073,7 @@ fn check_diag_path(exp: &ExperimentSpec<'_>, r: &mut AnalysisReport) {
                         format!(
                             "diagnostic frames delayed by {delay_rounds} rounds never \
                              arrive within the {}-round horizon",
-                            exp.rounds
+                            exp.rounds.unwrap_or(0)
                         ),
                     )
                     .with(Subject::Fault(f.id))

@@ -32,12 +32,11 @@
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
-use decos_diagnosis::model;
+use decos_diagnosis::model::{self, Pattern};
 use decos_diagnosis::SymptomDomain;
 use decos_faults::{FaultClass, FaultKind, FruRef};
 use decos_platform::{NodeId, Position};
 
-use crate::coverage::{unavailability, PATTERN_CATALOG};
 use crate::experiment::ExperimentSpec;
 
 /// A fault hypothesis: one concrete kind on one FRU.
@@ -81,7 +80,7 @@ impl Hypothesis {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Observation {
     /// The ONA pattern that fires.
-    pub pattern: &'static str,
+    pub pattern: Pattern,
     /// The FRUs the pattern attributes the symptom to, sorted.
     pub subjects: Vec<FruRef>,
     /// Earliest round (1-indexed) the firing can happen.
@@ -93,7 +92,7 @@ pub struct Observation {
 /// The n-round symptom signature of one hypothesis.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SymptomSignature {
-    /// Reachable observations, sorted by `(pattern, subjects)`.
+    /// Reachable observations, sorted by `(pattern name, subjects)`.
     pub observations: Vec<Observation>,
 }
 
@@ -106,7 +105,7 @@ impl SymptomSignature {
 
     /// The comparison key: the set of `(pattern, subjects)` pairs.
     #[must_use]
-    pub fn key(&self) -> BTreeSet<(&'static str, Vec<FruRef>)> {
+    pub fn key(&self) -> BTreeSet<(Pattern, Vec<FruRef>)> {
         self.observations.iter().map(|o| (o.pattern, o.subjects.clone())).collect()
     }
 
@@ -136,7 +135,7 @@ pub struct WitnessStep {
     /// component's first slot).
     pub slot: u16,
     /// The shared pattern.
-    pub pattern: &'static str,
+    pub pattern: Pattern,
     /// The shared attribution.
     pub subjects: Vec<FruRef>,
 }
@@ -277,46 +276,36 @@ impl<'a> Model<'a> {
         }
     }
 
-    /// Whether the pattern can fire at all under the ONA parameters and
-    /// horizon. `connector-rx` is the rx-side backing evidence of the
-    /// connector pattern and shares its (absent) gating.
-    fn pattern_available(&self, pattern: &'static str, n: u64) -> bool {
-        let gate = if pattern == "connector-rx" { "connector" } else { pattern };
-        let Some(info) = PATTERN_CATALOG.iter().find(|p| p.name == gate) else {
-            return false;
-        };
-        if unavailability(info, &self.exp.ona, n).is_some() {
-            return false;
-        }
-        model::earliest_fire_round(pattern, &self.exp.ona).is_some_and(|r| r <= n || n == 0)
+    /// Whether the pattern can fire at all under the ONA parameters
+    /// within `n` rounds (0 = no fixed horizon).
+    fn pattern_available(&self, pattern: Pattern, n: u64) -> bool {
+        model::unavailability(pattern, &self.exp.ona, (n > 0).then_some(n)).is_none()
     }
 
     /// Derives the n-round symptom signature of `h`.
     fn signature(&self, h: &Hypothesis, n: u64) -> SymptomSignature {
         let mut obs: Vec<Observation> = Vec::new();
-        let mut push = |pattern: &'static str, subjects: Vec<FruRef>| {
-            let Some(m) = model::pattern_model(pattern) else { return };
-            let Some(earliest) = model::earliest_fire_round(pattern, &self.exp.ona) else {
-                return;
-            };
-            obs.push(Observation {
-                pattern,
-                subjects,
-                earliest_round: earliest,
-                confidence: m.confidence,
-            });
+        let mut push = |pattern: Pattern, subjects: Vec<FruRef>| {
+            // An available pattern always has a floor.
+            if let Some(earliest_round) = model::earliest_fire_round(pattern, &self.exp.ona) {
+                obs.push(Observation {
+                    pattern,
+                    subjects,
+                    earliest_round,
+                    confidence: pattern.confidence(),
+                });
+            }
         };
         let footprint = self.footprint(h);
         for &pattern in model::patterns_for_kind(&h.kind) {
             if !self.pattern_available(pattern, n) {
                 continue;
             }
-            let domain = model::pattern_model(pattern).map(|m| m.domain);
-            match (pattern, domain) {
+            match (pattern, pattern.domain()) {
                 // Zone-attributed: one observation naming the whole
                 // affected zone, requiring at least two observable
                 // members for the spatial correlation.
-                ("massive-transient", _) => {
+                (Pattern::MassiveTransient, _) => {
                     let zone: Vec<FruRef> = footprint
                         .iter()
                         .filter(|&&c| self.comm_observable(c))
@@ -328,7 +317,7 @@ impl<'a> Model<'a> {
                 }
                 // Per-component comm/sync evidence: one observation per
                 // observable footprint member.
-                (_, Some(SymptomDomain::Comm | SymptomDomain::Sync)) => {
+                (_, SymptomDomain::Comm | SymptomDomain::Sync) => {
                     for &c in footprint.iter().filter(|&&c| self.comm_observable(c)) {
                         push(pattern, vec![FruRef::Component(c)]);
                     }
@@ -336,7 +325,7 @@ impl<'a> Model<'a> {
                 // Co-host correlation: attributes the hosting component,
                 // available only when it hosts jobs of >= 2 DASs (and
                 // those outputs are published, i.e. the host transmits).
-                ("cohost-correlation", _) => {
+                (Pattern::CohostCorrelation, _) => {
                     if let FruRef::Component(host) = h.fru {
                         let dases: BTreeSet<_> = self
                             .exp
@@ -353,14 +342,14 @@ impl<'a> Model<'a> {
                 }
                 // Queue-side evidence is detected locally at the
                 // affected job's host; no transmission slot required.
-                (_, Some(SymptomDomain::Queue)) => {
+                (_, SymptomDomain::Queue) => {
                     if let FruRef::Job(j) = h.fru {
                         push(pattern, vec![FruRef::Job(j)]);
                     }
                 }
                 // Job-value evidence: observable where the outputs are
                 // published, so the hosting component must transmit.
-                (_, Some(SymptomDomain::JobValue)) => match h.fru {
+                (_, SymptomDomain::JobValue) => match h.fru {
                     FruRef::Job(j) => {
                         let host_tx = self
                             .host_of(FruRef::Job(j))
@@ -385,7 +374,7 @@ impl<'a> Model<'a> {
                             .collect();
                         let cohost_fires = self.exp.ona.enable_cohost
                             && dases.len() >= 2
-                            && self.pattern_available("cohost-correlation", n);
+                            && self.pattern_available(Pattern::CohostCorrelation, n);
                         if !cohost_fires && self.scheduled.contains(&host) {
                             for j in self.exp.cluster.jobs.iter().filter(|j| j.host == host) {
                                 push(pattern, vec![FruRef::Job(j.id)]);
@@ -393,10 +382,13 @@ impl<'a> Model<'a> {
                         }
                     }
                 },
-                _ => {}
             }
         }
-        obs.sort_by(|x, y| x.pattern.cmp(y.pattern).then_with(|| x.subjects.cmp(&y.subjects)));
+        // Name order, so witness traces list shared observations as the
+        // reports always have.
+        obs.sort_by(|x, y| {
+            x.pattern.name().cmp(y.pattern.name()).then_with(|| x.subjects.cmp(&y.subjects))
+        });
         obs.dedup_by(|x, y| x.pattern == y.pattern && x.subjects == y.subjects);
         SymptomSignature { observations: obs }
     }
@@ -707,8 +699,8 @@ mod tests {
             Verdict::Ambiguous { witness } => {
                 assert!(!witness.is_empty(), "a witness trace is mandatory");
                 assert!(witness.iter().all(|w| w.round <= 4000));
-                assert!(witness.iter().any(|w| w.pattern == "isolated-transient"));
-                assert!(witness.iter().any(|w| w.pattern == "recurring-internal"));
+                assert!(witness.iter().any(|w| w.pattern == Pattern::IsolatedTransient));
+                assert!(witness.iter().any(|w| w.pattern == Pattern::RecurringInternal));
                 // Minimality: one step per shared observation.
                 let distinct: BTreeSet<_> =
                     witness.iter().map(|w| (w.pattern, w.subjects.clone())).collect();
@@ -738,10 +730,8 @@ mod tests {
         let (a, b) = (emi_at(&spec, 0), emi_at(&spec, 1));
         match pair_verdict(&exp, &a, &b, 4000) {
             Verdict::Ambiguous { witness } => {
-                assert!(witness
-                    .iter()
-                    .any(|w| w.pattern == "massive-transient"
-                        && w.subjects == vec![comp(0), comp(1)]));
+                assert!(witness.iter().any(|w| w.pattern == Pattern::MassiveTransient
+                    && w.subjects == vec![comp(0), comp(1)]));
             }
             v => panic!("expected zone ambiguity, got {v:?}"),
         }
@@ -780,8 +770,8 @@ mod tests {
         let spec = fig10::reference_spec();
         let exp = ExperimentSpec::new(&spec);
         let sig = signature_of(&exp, &seu(1), 10);
-        assert!(sig.observations.iter().all(|o| o.pattern != "recurring-internal"));
-        assert!(sig.observations.iter().any(|o| o.pattern == "isolated-transient"));
+        assert!(sig.observations.iter().all(|o| o.pattern != Pattern::RecurringInternal));
+        assert!(sig.observations.iter().any(|o| o.pattern == Pattern::IsolatedTransient));
     }
 
     #[test]
@@ -816,7 +806,7 @@ mod tests {
         // On a multi-DAS host the correlation disambiguates.
         let aging0 = hyp(FaultKind::CapacitorAging { bias_per_hour: 0.5 }, comp(0));
         let s0 = signature_of(&exp, &aging0, 4000);
-        assert!(s0.observations.iter().any(|o| o.pattern == "cohost-correlation"));
+        assert!(s0.observations.iter().any(|o| o.pattern == Pattern::CohostCorrelation));
     }
 
     #[test]

@@ -68,8 +68,10 @@ pub struct ExperimentSpec<'a> {
     pub faults: &'a [FaultSpec],
     /// Rate acceleration factor for episodic faults.
     pub accel: f64,
-    /// Horizon in TDMA rounds; `0` means "no fixed horizon" (pure lint).
-    pub rounds: u64,
+    /// Horizon in TDMA rounds; `None` means "no fixed horizon" (pure
+    /// lint). A campaign always has one; in a horizon of 0 rounds no fault
+    /// can manifest.
+    pub rounds: Option<u64>,
 }
 
 impl<'a> ExperimentSpec<'a> {
@@ -85,7 +87,7 @@ impl<'a> ExperimentSpec<'a> {
             advisor: AdvisorParams::default(),
             faults: &[],
             accel: 1.0,
-            rounds: 0,
+            rounds: None,
         }
     }
 
@@ -97,7 +99,7 @@ impl<'a> ExperimentSpec<'a> {
         accel: f64,
         rounds: u64,
     ) -> Self {
-        ExperimentSpec { faults, accel, rounds, ..ExperimentSpec::new(cluster) }
+        ExperimentSpec { faults, accel, rounds: Some(rounds), ..ExperimentSpec::new(cluster) }
     }
 
     /// Round length in seconds implied by the schedule and slot length.

@@ -12,9 +12,17 @@
 //! the TDMA single-owner premise (DA001), bandwidth feasibility of the
 //! communication model (DA004), spatial and FRU independence of TMR triads
 //! (DA010–DA013, Fig. 8), ONA coverage of the maintenance-oriented fault
-//! taxonomy (DA020, Fig. 6 × Fig. 8), totality of the trust-level
-//! transition relation (DA030, Fig. 9), and physical plausibility of the
-//! injected fault campaign against the §III-E field data (DA040–DA047).
+//! taxonomy (DA020–DA021, Fig. 6 × Fig. 8) and ONA parameters the pattern
+//! bank can run with (DA022), totality of the trust-level transition
+//! relation (DA030, Fig. 9), physical plausibility of the injected fault
+//! campaign against the §III-E field data and its horizon (DA040–DA047),
+//! and bounded n-diagnosability of the campaign's fault hypotheses
+//! (DA080–DA082, [`diagnosability`]).
+//!
+//! The ONA checks hold no pattern catalog of their own: coverage and
+//! diagnosability both read the one Fig. 8 pattern table in
+//! `decos_diagnosis::model` (`Pattern`, `earliest_fire_round`,
+//! `unavailability`), the table the runtime matchers emit from.
 //!
 //! ```
 //! use decos_analyzer::{analyze, ExperimentSpec};
@@ -27,13 +35,11 @@
 #![warn(missing_docs)]
 
 pub mod checks;
-pub mod coverage;
 pub mod diagnosability;
 pub mod experiment;
 pub mod report;
 
 pub use checks::analyze;
-pub use coverage::{unavailability, Dimension, PatternInfo, PATTERN_CATALOG};
 pub use diagnosability::{
     analyze_diagnosability, campaign_hypotheses, full_hypotheses, maintenance_equivalent,
     pair_verdict, signature_of, DiagnosabilityReport, Hypothesis, Observation, PairVerdict,

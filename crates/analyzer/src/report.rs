@@ -100,6 +100,9 @@ pub enum DiagCode {
     UncoveredFaultClass,
     /// An ONA pattern that cannot fire under the given parameters.
     OnaPatternUnavailable,
+    /// ONA parameters the pattern bank rejects at runtime (α-count decay
+    /// or threshold out of domain, a zero judgement interval).
+    OnaParamsRejected,
     /// Trust parameters leave some evidence without a defined successor.
     TrustTransitionPartial,
     /// Quiet-round recovery outpaces the weakest evidence class.
@@ -186,6 +189,7 @@ impl DiagCode {
             DiagCode::TmrVoterCohosted => "DA013",
             DiagCode::UncoveredFaultClass => "DA020",
             DiagCode::OnaPatternUnavailable => "DA021",
+            DiagCode::OnaParamsRejected => "DA022",
             DiagCode::TrustTransitionPartial => "DA030",
             DiagCode::TrustRecoveryOutpacesDecay => "DA031",
             DiagCode::UnknownFaultTarget => "DA040",
@@ -235,6 +239,7 @@ impl DiagCode {
             DiagCode::TmrVoterCohosted => "TmrVoterCohosted",
             DiagCode::UncoveredFaultClass => "UncoveredFaultClass",
             DiagCode::OnaPatternUnavailable => "OnaPatternUnavailable",
+            DiagCode::OnaParamsRejected => "OnaParamsRejected",
             DiagCode::TrustTransitionPartial => "TrustTransitionPartial",
             DiagCode::TrustRecoveryOutpacesDecay => "TrustRecoveryOutpacesDecay",
             DiagCode::UnknownFaultTarget => "UnknownFaultTarget",
@@ -267,8 +272,7 @@ impl DiagCode {
         }
     }
 
-    /// Whether this code belongs to the DA080 diagnosability block (the
-    /// verdicts a `RunOptions::deny_diagnosability` gate rejects on).
+    /// Whether this code belongs to the DA080 diagnosability block.
     #[must_use]
     pub fn is_diagnosability(self) -> bool {
         matches!(
@@ -297,6 +301,7 @@ impl DiagCode {
         DiagCode::TmrVoterCohosted,
         DiagCode::UncoveredFaultClass,
         DiagCode::OnaPatternUnavailable,
+        DiagCode::OnaParamsRejected,
         DiagCode::TrustTransitionPartial,
         DiagCode::TrustRecoveryOutpacesDecay,
         DiagCode::UnknownFaultTarget,

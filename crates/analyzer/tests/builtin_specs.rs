@@ -3,6 +3,7 @@
 //! drive — must analyze without error-severity diagnostics; seeded
 //! mutations must each produce their specific diagnostic code.
 
+use decos::diagnosis::OnaParams;
 use decos::prelude::*;
 use decos_analyzer::{analyze, DiagCode, ExperimentSpec, ScheduleSpec, Severity};
 use decos_platform::{avionics, fig10, NodeId};
@@ -19,7 +20,7 @@ fn assert_clean(name: &str, exp: &ExperimentSpec<'_>) {
 fn fig10_reference_is_spotless() {
     let spec = fig10::reference_spec();
     let mut exp = ExperimentSpec::new(&spec);
-    exp.rounds = ROUNDS;
+    exp.rounds = Some(ROUNDS);
     let report = analyze(&exp);
     assert!(!report.has_errors(), "{report}");
     assert_eq!(report.count_severity(Severity::Warning), 0, "{report}");
@@ -29,7 +30,7 @@ fn fig10_reference_is_spotless() {
 fn avionics_has_no_errors() {
     let spec = avionics::avionics_spec();
     let mut exp = ExperimentSpec::new(&spec);
-    exp.rounds = ROUNDS;
+    exp.rounds = Some(ROUNDS);
     let report = analyze(&exp);
     assert!(!report.has_errors(), "{report}");
     // The F1/F2/F3 replicas sit on adjacent forward LRMs — the analyzer is
@@ -89,10 +90,72 @@ fn mutation_starved_pattern_fires_da020() {
     // The configuration pattern needs overflow_min_windows rounds of
     // evidence; an impossible threshold starves the JobBorderline class.
     exp.ona.overflow_min_windows = u64::MAX;
-    exp.rounds = ROUNDS;
+    exp.rounds = Some(ROUNDS);
     let report = analyze(&exp);
     assert!(report.contains(DiagCode::UncoveredFaultClass), "{report}");
     assert!(report.contains(DiagCode::OnaPatternUnavailable), "{report}");
+}
+
+/// The fig10 reference experiment at the example horizon, with the ONA
+/// parameters edited by `edit`.
+fn analyze_with_ona(edit: impl FnOnce(&mut OnaParams)) -> decos_analyzer::AnalysisReport {
+    let spec = fig10::reference_spec();
+    let mut exp = ExperimentSpec::new(&spec);
+    exp.rounds = Some(ROUNDS);
+    edit(&mut exp.ona);
+    analyze(&exp)
+}
+
+#[test]
+fn mutation_alpha_decay_one_fires_da022() {
+    // AlphaCount::new panics on a decay outside [0, 1) at the first
+    // judgement boundary; the analyzer must refuse the run instead.
+    let report = analyze_with_ona(|ona| ona.alpha.decay = 1.0);
+    assert!(report.contains(DiagCode::OnaParamsRejected), "{report}");
+    assert!(report.has_errors());
+}
+
+#[test]
+fn mutation_zero_judgement_interval_fires_da022() {
+    // A zero judgement interval divides by zero in the first round.
+    let report = analyze_with_ona(|ona| ona.judgement_rounds = 0);
+    assert!(report.contains(DiagCode::OnaParamsRejected), "{report}");
+    assert!(report.has_errors());
+}
+
+#[test]
+fn ona_ablations_pass_the_parameter_check() {
+    // The defaults and the E12 ablations, the memoryless alpha-count
+    // (decay 0) included, run: no DA022 and no error.
+    let edits: [fn(&mut OnaParams); 4] = [
+        |_| {},
+        |ona| ona.enable_spatial = false,
+        |ona| ona.enable_cohost = false,
+        |ona| ona.alpha.decay = 0.0,
+    ];
+    for (i, edit) in edits.into_iter().enumerate() {
+        let report = analyze_with_ona(edit);
+        assert!(!report.contains(DiagCode::OnaParamsRejected), "case {i}: {report}");
+        assert!(!report.has_errors(), "case {i}: {report}");
+    }
+}
+
+#[test]
+fn recurring_internal_needs_three_judgement_intervals() {
+    // The alpha-count declares after ceil(2.5) = 3 failing intervals of
+    // 50 rounds; a memoryless count (decay 0) declares just as early.
+    let spec = fig10::reference_spec();
+    let unavailable = |exp: &ExperimentSpec<'_>| {
+        analyze(exp).diagnostics.iter().any(|d| {
+            d.code == DiagCode::OnaPatternUnavailable && d.message.contains("recurring-internal")
+        })
+    };
+    let mut exp = ExperimentSpec::with_campaign(&spec, &[], 1.0, 100);
+    assert!(unavailable(&exp), "100 rounds < 150");
+    exp.ona.alpha.decay = 0.0;
+    assert!(unavailable(&exp), "decay 0 does not shorten the floor");
+    exp.rounds = Some(150);
+    assert!(!unavailable(&exp), "decay 0 still declares at 150 rounds");
 }
 
 #[test]
@@ -193,23 +256,27 @@ fn degradation_campaigns_analyze_clean() {
 
 #[test]
 fn runner_refuses_what_the_analyzer_rejects() {
-    // The same broken campaign through the public entry point: the run
-    // must not start, and the full report must come back.
-    let c = Campaign::reference(
-        vec![FaultSpec {
-            id: 1,
-            kind: FaultKind::CosmicRaySeu { rate_per_hour: 50.0 },
-            target: FruRef::Component(NodeId(17)),
-            onset: decos::sim::SimTime::ZERO,
-        }],
-        1.0,
-        100,
-        3,
-    );
-    match run_campaign(&c) {
-        Err(CampaignError::Rejected(report)) => {
-            assert!(report.contains(DiagCode::UnknownFaultTarget), "{report}");
+    // Broken campaigns through the public entry point: the run must not
+    // start, and the full report must come back.
+    let seu = |node: u16| FaultSpec {
+        id: 1,
+        kind: FaultKind::CosmicRaySeu { rate_per_hour: 50.0 },
+        target: FruRef::Component(NodeId(node)),
+        onset: decos::sim::SimTime::ZERO,
+    };
+    let cases = [
+        (seu(17), 100, DiagCode::UnknownFaultTarget),
+        // A zero horizon is a horizon, not "no fixed horizon": no fault
+        // can manifest in it.
+        (seu(1), 0, DiagCode::OnsetBeyondHorizon),
+    ];
+    for (fault, rounds, code) in cases {
+        let c = Campaign::reference(vec![fault], 1.0, rounds, 3);
+        match run_campaign(&c) {
+            Err(CampaignError::Rejected(report)) => {
+                assert!(report.contains(code), "{report}");
+            }
+            other => panic!("expected analyzer rejection, got {other:?}"),
         }
-        other => panic!("expected analyzer rejection, got {other:?}"),
     }
 }

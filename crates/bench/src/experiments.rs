@@ -3,7 +3,7 @@
 //! binary dispatches on experiment id. EXPERIMENTS.md records paper-vs-
 //! measured for every entry.
 
-use decos::diagnosis::{ConfusionMatrix, Subject, SymptomDetectors};
+use decos::diagnosis::{ConfusionMatrix, Pattern, Subject, SymptomDetectors};
 use decos::faults::{campaign, FaultClass, FaultEnvironment, FaultKind, FaultSpec, FruRef};
 use decos::fleet_exec::{default_shards, map_ordered};
 use decos::prelude::*;
@@ -437,7 +437,7 @@ fn pattern_signature(
     faults: Vec<FaultSpec>,
     accel: f64,
     rounds: u64,
-    expected_patterns: &[&str],
+    expected_patterns: &[Pattern],
     seed: u64,
 ) -> PatternSignature {
     let c = Campaign { spec, faults, accel, rounds, seed };
@@ -449,7 +449,7 @@ fn pattern_signature(
     let mut om = 0u64;
     let mut crc = 0u64;
     let mut dev_points: Vec<(f64, f64)> = Vec::new();
-    let mut pattern_counts: BTreeMap<String, u64> = BTreeMap::new();
+    let mut pattern_counts: BTreeMap<&'static str, u64> = BTreeMap::new();
     let mut rounds_with_matches = 0u64;
     let mut rounds_with_correct = 0u64;
     let mut sim_lif: Vec<decos::platform::PortLif> = Vec::new();
@@ -499,13 +499,15 @@ fn pattern_signature(
                 let matches = engine.last_matches();
                 if !matches.is_empty() {
                     rounds_with_matches += 1;
-                    let expected = |p: &str| expected_patterns.iter().any(|e| p.starts_with(e));
-                    if matches.iter().any(|m| expected(m.pattern)) {
+                    let expected = |p: &Pattern| expected_patterns.contains(p);
+                    if matches.iter().any(|m| expected(&m.pattern)) {
                         rounds_with_correct += 1;
                     }
                     for m in matches {
-                        *pattern_counts.entry(m.pattern.to_string()).or_insert(0) += 1;
-                        if expected(m.pattern) {
+                        // Keyed by name: the dominant pattern breaks count
+                        // ties in name order.
+                        *pattern_counts.entry(m.pattern.name()).or_insert(0) += 1;
+                        if expected(&m.pattern) {
                             implicated.insert(m.fru);
                         }
                     }
@@ -518,8 +520,7 @@ fn pattern_signature(
     let dominant_pattern = pattern_counts
         .iter()
         .max_by_key(|(_, &n)| n)
-        .map(|(p, _)| p.clone())
-        .unwrap_or_else(|| "(none)".into());
+        .map_or_else(|| "(none)".into(), |(p, _)| p.to_string());
     // Relative frequency growth: slope of the per-window rate normalized
     // by the mean rate (dimensionless growth per window).
     let rates = freq.rates_per_hour();
@@ -552,7 +553,7 @@ pub fn e6_patterns(effort: Effort) -> E6Patterns {
             campaign::wearout_campaign(NodeId(1), 100.0, 600_000.0),
             1.0,
             rounds,
-            &["wearout", "recurring-internal", "cohost-correlation"],
+            &[Pattern::Wearout, Pattern::RecurringInternal, Pattern::CohostCorrelation],
             61,
         ),
         pattern_signature(
@@ -571,7 +572,7 @@ pub fn e6_patterns(effort: Effort) -> E6Patterns {
             }],
             10.0,
             rounds / 2,
-            &["massive-transient"],
+            &[Pattern::MassiveTransient],
             62,
         ),
         pattern_signature(
@@ -580,7 +581,7 @@ pub fn e6_patterns(effort: Effort) -> E6Patterns {
             campaign::connector_campaign(NodeId(2), 3_000.0),
             10.0,
             rounds / 2,
-            &["connector"],
+            &[Pattern::Connector, Pattern::ConnectorRx],
             63,
         ),
     ];
@@ -758,7 +759,7 @@ pub fn e8_judgment(effort: Effort) -> E8Judgment {
     let cohost_fired = out_b
         .report
         .verdict_of(FruRef::Component(NodeId(1)))
-        .map(|v| v.patterns.contains_key("cohost-correlation"))
+        .map(|v| v.patterns.contains_key(Pattern::CohostCorrelation.name()))
         .unwrap_or(false);
     let comp_dases: Vec<String> = spec
         .jobs

@@ -51,15 +51,39 @@ fn storeless_campaign_is_still_a_usage_error() {
 }
 
 #[test]
+fn empty_fleet_prints_an_empty_report() {
+    let dir = std::env::temp_dir().join(format!("decos-cli-empty-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let store = dir.join("store");
+    let store = store.to_str().expect("utf-8 temp dir");
+    for args in [
+        vec!["fleet", "--vehicles", "0"],
+        vec!["fleet", "--vehicles", "0", "--telemetry"],
+        vec!["fleet", "--store", store, "--vehicles", "0"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(&args)
+            .current_dir(&dir)
+            .output()
+            .expect("repro spawns");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?} stderr: {err}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn rejected_sampled_vehicle_exits_spec_rejected() {
     // One round is too short for the job-borderline pattern, so the first
     // sampled job-borderline vehicle is rejected: exit 3, not a panic —
     // also on the BENCH emitter path, which must then write no BENCH file.
+    // In a horizon of 0 rounds no sampled fault can manifest at all.
     let dir = std::env::temp_dir().join(format!("decos-cli-bench-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("temp dir");
-    let fleet = ["fleet", "--vehicles", "200", "--rounds", "1", "--shards", "1"];
-    for extra in [None, Some("--telemetry")] {
+    for (rounds, extra) in [("1", None), ("1", Some("--telemetry")), ("0", None)] {
+        let fleet = ["fleet", "--vehicles", "200", "--rounds", rounds, "--shards", "1"];
         let args: Vec<&str> = fleet.iter().copied().chain(extra).collect();
         let out = Command::new(env!("CARGO_BIN_EXE_repro"))
             .args(&args)

@@ -49,7 +49,8 @@ const USAGE: &str =
 
 fn lint(name: &str, spec: &ClusterSpec, rounds: u64) -> AnalysisReport {
     let mut exp = ExperimentSpec::new(spec);
-    exp.rounds = rounds;
+    // `--rounds 0` lints the cluster without a horizon.
+    exp.rounds = Some(rounds).filter(|&r| r > 0);
     let report = analyze(&exp);
     eprintln!("== {name}: {} ==", report.summary());
     report
@@ -58,8 +59,7 @@ fn lint(name: &str, spec: &ClusterSpec, rounds: u64) -> AnalysisReport {
 /// Runs the diagnosability engine over the full hypothesis matrix of one
 /// cluster and prints the ambiguity matrix (or its JSON form).
 fn lint_diagnosability(name: &str, spec: &ClusterSpec, rounds: u64, json: bool) -> Option<()> {
-    let mut exp = ExperimentSpec::new(spec);
-    exp.rounds = rounds;
+    let exp = ExperimentSpec::new(spec);
     let report = analyze_diagnosability(&exp, full_hypotheses(&exp), rounds);
     eprintln!("== {name}: {} ==", report.summary());
     if json {

@@ -29,7 +29,9 @@ use decos_diagnosis::{score_case, ActionScore, ConfusionMatrix};
 use decos_faults::{FaultClass, FaultSpec, FruRef, MaintenanceAction};
 use decos_platform::ClusterSpec;
 use decos_sim::rng::SeedSource;
-use decos_sim::telemetry::{Counter, Gauge, TelemetrySnapshot};
+use decos_sim::telemetry::{
+    Counter, CounterSet, Gauge, GaugeSet, Phase, SpanStats, TelemetrySnapshot,
+};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -347,6 +349,17 @@ impl FleetAccumulator {
         self.samples.extend(other.samples);
     }
 
+    /// Makes sure the aggregate carries a telemetry snapshot even when no
+    /// vehicle reported one, i.e. for a fleet of zero vehicles run with
+    /// [`FleetOptions::telemetry`] on.
+    pub(crate) fn expect_telemetry(&mut self) {
+        self.telemetry.get_or_insert_with(|| TelemetrySnapshot {
+            counters: CounterSet::new(),
+            gauges: GaugeSet::new(),
+            phases: [SpanStats::ZERO; Phase::COUNT],
+        });
+    }
+
     /// Finalizes the fleet aggregate: folds the quality blocks in
     /// ascending index order, re-derives fleet-scope gauges from the
     /// merged counters and sorts the retained sample.
@@ -448,6 +461,9 @@ pub fn run_fleet_configured(
     for (part, part_failed) in parts {
         acc.merge(part);
         failed = failed.into_iter().chain(part_failed).min_by_key(|&(v, _)| v);
+    }
+    if opts.telemetry {
+        acc.expect_telemetry();
     }
     match failed {
         Some((_, e)) => Err(e),
@@ -575,6 +591,15 @@ mod tests {
         assert_eq!(out.mean_delivery_quality, 1.0, "empty fleet must not NaN");
         assert_eq!(out.degraded_vehicles, 0);
         assert_eq!(out.decos.nff_ratio(), 0.0);
+        assert!(out.telemetry.is_none(), "telemetry is off by default");
+        // With telemetry on, an empty fleet still reports a snapshot.
+        let opts = FleetOptions { telemetry: true, ..FleetOptions::default() };
+        let out =
+            run_fleet_configured(&fig10::reference_spec(), cfg, EngineParams::default(), &opts)
+                .unwrap();
+        let snap = out.telemetry.expect("telemetry requested");
+        assert_eq!(snap.counters.get(Counter::Vehicles), 0);
+        assert_eq!(snap.gauges.get(Gauge::DeliveryQuality), 1.0);
     }
 
     #[test]

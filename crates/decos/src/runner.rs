@@ -134,14 +134,6 @@ pub struct RunOptions {
     /// [`ClusterSim::force_legacy_path`]). The outcome is bit-identical by
     /// contract; equivalence tests pin that contract with this switch.
     pub legacy_paths: bool,
-    /// Escalate the analyzer's DA080-series diagnosability verdicts from
-    /// warnings to rejection: refuse to simulate a campaign whose fault
-    /// hypotheses are observation-equivalent (DA080), invisible to the ONA
-    /// bank (DA081), or unconvictable within the horizon (DA082). Off by
-    /// default — such campaigns still measure something (often
-    /// deliberately); opt in when the experiment's claim *is* the pinned
-    /// FRU.
-    pub deny_diagnosability: bool,
 }
 
 /// Runs a campaign with default engine parameters and options.
@@ -169,11 +161,6 @@ pub fn run_campaign_opts(
     // outcome would be structurally meaningless (or would crash mid-run).
     let analysis = c.analyze(&params);
     if analysis.has_errors() {
-        return Err(CampaignError::Rejected(analysis));
-    }
-    // The diagnosability verdicts are warnings by default; the caller can
-    // harden the gate when the experiment stands on distinguishable faults.
-    if opts.deny_diagnosability && analysis.diagnostics.iter().any(|d| d.code.is_diagnosability()) {
         return Err(CampaignError::Rejected(analysis));
     }
     let mut sim = ClusterSim::new(c.spec.clone(), c.seed)?;
@@ -488,13 +475,13 @@ mod tests {
     }
 
     #[test]
-    fn deny_diagnosability_escalates_da080_warnings() {
+    fn diagnosability_verdicts_do_not_block_the_run() {
         use decos_analyzer::DiagCode;
         use decos_faults::FaultKind;
         use decos_sim::time::SimTime;
         // A recurring environmental disturbance and a residual IC defect at
         // the same component are observation-equivalent: DA080 at warning
-        // level, so the default gate lets the campaign run…
+        // level, so the gate lets the campaign run.
         let ambiguous = Campaign::reference(
             vec![
                 decos_faults::FaultSpec {
@@ -517,25 +504,7 @@ mod tests {
         let analysis = ambiguous.analyze(&EngineParams::default());
         assert!(analysis.contains(DiagCode::FaultPairIndistinguishable), "{analysis}");
         assert!(!analysis.has_errors(), "diagnosability verdicts stay warnings: {analysis}");
-        assert!(run_campaign(&ambiguous).is_ok(), "default gate must not reject");
-        // …while the hardened gate refuses it, attaching the full report.
-        let opts = RunOptions { deny_diagnosability: true, ..RunOptions::default() };
-        match run_campaign_opts(&ambiguous, EngineParams::default(), opts, &mut [], |_, _, _| {}) {
-            Err(CampaignError::Rejected(report)) => {
-                assert!(report.contains(DiagCode::FaultPairIndistinguishable), "{report}");
-            }
-            other => panic!("expected rejection, got {other:?}"),
-        }
-        // A distinguishable campaign passes the hardened gate untouched.
-        let clean = Campaign::reference(
-            decos_faults::campaign::connector_campaign(NodeId(2), 2000.0),
-            10.0,
-            400,
-            11,
-        );
-        assert!(
-            run_campaign_opts(&clean, EngineParams::default(), opts, &mut [], |_, _, _| {}).is_ok()
-        );
+        assert!(run_campaign(&ambiguous).is_ok(), "the gate must not reject");
     }
 
     #[test]

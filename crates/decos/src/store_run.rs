@@ -716,5 +716,8 @@ pub fn run_fleet_stored<IO: StoreIo>(
     stats.journal_bytes = fs.store.journal_len();
     stats.fsyncs = fs.store.stats().fsyncs;
     stats.snapshots_written = fs.store.stats().snapshots_written;
+    if opts.telemetry {
+        acc.expect_telemetry();
+    }
     Ok((acc.finish(), stats))
 }

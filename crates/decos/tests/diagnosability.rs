@@ -16,8 +16,12 @@
 
 use decos::analyzer::diagnosability::{pair_verdict, Hypothesis, Verdict};
 use decos::analyzer::ExperimentSpec;
-use decos::platform::{fig10, NodeId, Position};
-use decos::prelude::{run_campaign, Campaign, FaultClass, FaultKind, FaultSpec, FruRef};
+use decos::diagnosis::{earliest_fire_round, Pattern};
+use decos::platform::{fig10, ClusterSpec, NodeId, Position};
+use decos::prelude::{
+    run_campaign, run_campaign_opts, Campaign, EngineParams, FaultClass, FaultKind, FaultSpec,
+    FruRef, RunOptions,
+};
 use decos::sim::time::SimTime;
 
 const ROUNDS: u64 = 4000;
@@ -31,7 +35,7 @@ fn hyp(kind: &FaultKind, fru: FruRef) -> Hypothesis {
 fn static_verdict(a: &(FaultKind, FruRef), b: &(FaultKind, FruRef)) -> Verdict {
     let spec = fig10::reference_spec();
     let mut exp = ExperimentSpec::new(&spec);
-    exp.rounds = ROUNDS;
+    exp.rounds = Some(ROUNDS);
     pair_verdict(&exp, &hyp(&a.0, a.1), &hyp(&b.0, b.1), ROUNDS)
 }
 
@@ -176,4 +180,107 @@ fn quartz_vs_connector_same_node_distinguishable() {
     let quartz = FaultKind::QuartzDegradation { drift_ppm_per_hour: 2_000.0 };
     let conn = FaultKind::ConnectorIntermittent { rate_per_hour: 2_000.0, duration_ms: 5.0 };
     assert_distinguishable((quartz, n2), (conn, n2), 47);
+}
+
+// ---------------------------------------------------------------------
+// The model's floors against the runtime: no pattern fires early.
+// ---------------------------------------------------------------------
+
+/// The first 1-indexed round in which each pattern appears in the
+/// engine's per-round matches.
+fn first_fire_rounds(
+    c: &Campaign,
+    params: EngineParams,
+) -> std::collections::BTreeMap<Pattern, u64> {
+    let mut first = std::collections::BTreeMap::new();
+    run_campaign_opts(c, params, RunOptions::default(), &mut [], |sim, engine, rec| {
+        if rec.addr.slot.0 + 1 == sim.schedule().slots_per_round() {
+            for m in engine.last_matches() {
+                first.entry(m.pattern).or_insert(rec.addr.round + 1);
+            }
+        }
+    })
+    .unwrap_or_else(|e| panic!("rejected: {e:?}"));
+    first
+}
+
+/// One fault kind per `patterns_for_kind` group, at seed-pinned high
+/// rates, run at the default ONA parameters and at an alpha threshold of
+/// 10: every pattern's first firing lies at or after the model's
+/// `earliest_fire_round`.
+#[test]
+fn no_pattern_fires_before_its_floor() {
+    use decos::faults::campaign;
+    let comp = |kind: FaultKind, n: u16| {
+        vec![FaultSpec { id: 1, kind, target: FruRef::Component(NodeId(n)), onset: SimTime::ZERO }]
+    };
+    let spec = fig10::reference_spec;
+    let a1 = fig10::jobs::A1;
+    let groups: Vec<(ClusterSpec, Vec<FaultSpec>)> = vec![
+        (spec(), comp(emi_at(Position { x: 0.2, y: 0.1 }), 0)),
+        (spec(), comp(seu(20_000.0), 1)),
+        (spec(), comp(FaultKind::StressOutage { rate_per_hour: 20_000.0, outage_ms: 4.0 }, 2)),
+        (
+            spec(),
+            comp(FaultKind::ConnectorIntermittent { rate_per_hour: 4_000.0, duration_ms: 5.0 }, 2),
+        ),
+        (
+            spec(),
+            comp(
+                FaultKind::PcbCrack {
+                    base_rate_per_hour: 500.0,
+                    growth_per_hour: 100_000.0,
+                    outage_ms: 4.0,
+                },
+                1,
+            ),
+        ),
+        (spec(), comp(FaultKind::QuartzDegradation { drift_ppm_per_hour: 1e7 }, 3)),
+        (spec(), comp(ic_transient(20_000.0), 1)),
+        (spec(), comp(FaultKind::CapacitorAging { bias_per_hour: 40_000.0 }, 0)),
+        campaign::misconfiguration_campaign(spec(), 16),
+        (spec(), campaign::software_campaign(a1, false)),
+        (spec(), campaign::sensor_campaign(a1, FaultKind::SensorStuck { value: 99.0 })),
+        (spec(), campaign::sensor_campaign(a1, FaultKind::SensorDrift { per_hour: 40_000.0 })),
+        (spec(), campaign::sensor_campaign(a1, FaultKind::SensorDead)),
+    ];
+    let slow_alpha = {
+        let mut p = EngineParams::default();
+        p.ona.alpha.threshold = 10.0;
+        p
+    };
+    let mut seen = std::collections::BTreeSet::new();
+    for params in [EngineParams::default(), slow_alpha] {
+        for (i, (spec, faults)) in groups.iter().enumerate() {
+            let c = Campaign {
+                spec: spec.clone(),
+                faults: faults.clone(),
+                accel: ACCEL,
+                rounds: 600,
+                seed: 3,
+            };
+            for (pattern, round) in first_fire_rounds(&c, params) {
+                let floor = earliest_fire_round(pattern, &params.ona)
+                    .unwrap_or_else(|| panic!("{pattern} fired but the model says it never can"));
+                assert!(
+                    round >= floor,
+                    "group {i} ({}): {pattern} fired in round {round}, before its floor {floor} \
+                     (alpha threshold {})",
+                    faults[0].kind.name(),
+                    params.ona.alpha.threshold
+                );
+                seen.insert((params.ona.alpha.threshold.to_bits(), pattern));
+            }
+        }
+    }
+    // The slow evidence patterns must actually fire, or the floors above
+    // were never tested.
+    for threshold in [2.5f64, 10.0] {
+        for p in [Pattern::RecurringInternal, Pattern::Wearout] {
+            assert!(
+                seen.contains(&(threshold.to_bits(), p)),
+                "{p} never fired at alpha {threshold}"
+            );
+        }
+    }
 }

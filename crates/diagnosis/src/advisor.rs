@@ -7,6 +7,7 @@
 //! thin evidence is precisely the no-fault-found behaviour the architecture
 //! exists to avoid.
 
+use crate::model::Pattern;
 use crate::patterns::PatternMatch;
 use crate::trust::FruAssessor;
 use decos_faults::{FaultClass, FruRef, MaintenanceAction};
@@ -45,7 +46,8 @@ pub struct FruVerdict {
     pub trust: f64,
     /// Recommended maintenance action (None = keep under observation).
     pub action: Option<MaintenanceAction>,
-    /// Per-pattern match counts (explainability for the technician).
+    /// Per-pattern match counts by pattern name (explainability for the
+    /// technician).
     pub patterns: BTreeMap<String, u64>,
 }
 
@@ -81,11 +83,11 @@ impl DiagnosticReport {
 }
 
 /// Accumulates pattern matches into per-FRU evidence.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct MaintenanceAdvisor {
     params: AdvisorParams,
     evidence: BTreeMap<FruRef, BTreeMap<FaultClass, f64>>,
-    patterns: BTreeMap<FruRef, BTreeMap<String, u64>>,
+    patterns: BTreeMap<FruRef, BTreeMap<Pattern, u64>>,
     /// Host component of each job (root-cause consolidation).
     job_hosts: BTreeMap<decos_platform::JobId, decos_platform::NodeId>,
     total: u64,
@@ -113,7 +115,7 @@ impl MaintenanceAdvisor {
         for m in matches {
             self.total += 1;
             *self.evidence.entry(m.fru).or_default().entry(m.class).or_insert(0.0) += m.confidence;
-            *self.patterns.entry(m.fru).or_default().entry(m.pattern.to_string()).or_insert(0) += 1;
+            *self.patterns.entry(m.fru).or_default().entry(m.pattern).or_insert(0) += 1;
         }
     }
 
@@ -158,7 +160,10 @@ impl MaintenanceAdvisor {
                     share,
                     trust: trust.trust(*fru),
                     action,
-                    patterns: self.patterns.get(fru).cloned().unwrap_or_default(),
+                    patterns: self.patterns[fru]
+                        .iter()
+                        .map(|(p, &n)| (p.name().to_string(), n))
+                        .collect(),
                 }
             })
             .collect();
@@ -204,7 +209,7 @@ mod tests {
     use decos_platform::{JobId, NodeId};
     use decos_sim::SimTime;
 
-    fn m(fru: FruRef, class: FaultClass, confidence: f64, pattern: &'static str) -> PatternMatch {
+    fn m(fru: FruRef, class: FaultClass, confidence: f64, pattern: Pattern) -> PatternMatch {
         PatternMatch { at: SimTime::ZERO, fru, class, pattern, confidence }
     }
 
@@ -222,9 +227,9 @@ mod tests {
         let mut adv = MaintenanceAdvisor::new(AdvisorParams::default());
         let fru = FruRef::Component(NodeId(1));
         for _ in 0..10 {
-            adv.ingest(&[m(fru, FaultClass::ComponentInternal, 0.8, "wearout")]);
+            adv.ingest(&[m(fru, FaultClass::ComponentInternal, 0.8, Pattern::Wearout)]);
         }
-        adv.ingest(&[m(fru, FaultClass::ComponentExternal, 0.4, "isolated-transient")]);
+        adv.ingest(&[m(fru, FaultClass::ComponentExternal, 0.4, Pattern::IsolatedTransient)]);
         let rep = adv.report(&FruAssessor::new(TrustParams::default()));
         let v = rep.verdict_of(fru).unwrap();
         assert_eq!(v.class, Some(FaultClass::ComponentInternal));
@@ -237,7 +242,7 @@ mod tests {
     fn thin_evidence_gives_no_action() {
         let mut adv = MaintenanceAdvisor::new(AdvisorParams::default());
         let fru = FruRef::Job(JobId(3));
-        adv.ingest(&[m(fru, FaultClass::JobInherentSoftware, 0.5, "software-design")]);
+        adv.ingest(&[m(fru, FaultClass::JobInherentSoftware, 0.5, Pattern::SoftwareDesign)]);
         let rep = adv.report(&FruAssessor::new(TrustParams::default()));
         let v = rep.verdict_of(fru).unwrap();
         assert_eq!(v.class, None);
@@ -250,8 +255,8 @@ mod tests {
         let fru = FruRef::Component(NodeId(2));
         for _ in 0..5 {
             adv.ingest(&[
-                m(fru, FaultClass::ComponentInternal, 0.5, "recurring-internal"),
-                m(fru, FaultClass::ComponentBorderline, 0.5, "connector"),
+                m(fru, FaultClass::ComponentInternal, 0.5, Pattern::RecurringInternal),
+                m(fru, FaultClass::ComponentBorderline, 0.5, Pattern::Connector),
             ]);
         }
         let rep = adv.report(&FruAssessor::new(TrustParams::default()));
@@ -264,10 +269,10 @@ mod tests {
         let mut adv = MaintenanceAdvisor::new(AdvisorParams::default());
         let fru = FruRef::Component(NodeId(1));
         assert_eq!(adv.decided_class(fru), None, "no evidence at all");
-        adv.ingest(&[m(fru, FaultClass::ComponentInternal, 0.8, "wearout")]);
+        adv.ingest(&[m(fru, FaultClass::ComponentInternal, 0.8, Pattern::Wearout)]);
         assert_eq!(adv.decided_class(fru), None, "below min_evidence");
         for _ in 0..9 {
-            adv.ingest(&[m(fru, FaultClass::ComponentInternal, 0.8, "wearout")]);
+            adv.ingest(&[m(fru, FaultClass::ComponentInternal, 0.8, Pattern::Wearout)]);
         }
         assert_eq!(adv.decided_class(fru), Some(FaultClass::ComponentInternal));
         let rep = adv.report(&FruAssessor::new(TrustParams::default()));
@@ -280,12 +285,12 @@ mod tests {
         let bad = FruRef::Component(NodeId(1));
         let ok = FruRef::Component(NodeId(2));
         for _ in 0..10 {
-            adv.ingest(&[m(bad, FaultClass::ComponentInternal, 0.9, "wearout")]);
+            adv.ingest(&[m(bad, FaultClass::ComponentInternal, 0.9, Pattern::Wearout)]);
         }
-        adv.ingest(&[m(ok, FaultClass::ComponentExternal, 0.3, "isolated-transient")]);
+        adv.ingest(&[m(ok, FaultClass::ComponentExternal, 0.3, Pattern::IsolatedTransient)]);
         let mut trust = FruAssessor::new(TrustParams::default());
         for _ in 0..100 {
-            trust.update_round(&[m(bad, FaultClass::ComponentInternal, 0.9, "wearout")]);
+            trust.update_round(&[m(bad, FaultClass::ComponentInternal, 0.9, Pattern::Wearout)]);
         }
         let rep = adv.report(&trust);
         assert_eq!(rep.verdicts[0].fru, bad, "worst trust first");

@@ -38,8 +38,8 @@ pub use dissemination::{DiagnosticNetwork, DisseminationStats, PlausibilityScree
 pub use engine::{DiagnosticEngine, EngineParams, DEGRADED_QUALITY_THRESHOLD};
 pub use metrics::{score_case, ActionScore, ConfusionMatrix, REMOVAL_COST_USD};
 pub use model::{
-    alpha_windows_to_declare, earliest_fire_round, pattern_model, patterns_for_kind, PatternModel,
-    SymptomDomain, PATTERN_MODELS,
+    alpha_windows_to_declare, earliest_fire_round, params_error, patterns_for_kind, unavailability,
+    Pattern, SymptomDomain,
 };
 pub use patterns::{OnaBank, OnaParams, PatternMatch};
 pub use state::{DistributedState, PairMatrix};

@@ -18,6 +18,7 @@
 //! | value/omission symptoms of ≥ 2 jobs of different DASs co-hosted on one component | space: within one component | job external ⇒ **component internal** |
 //! | value symptoms confined to a single job | — | **job inherent**, sub-divided by value shape (persistent/drift ⇒ transducer, intermittent ⇒ software) |
 
+use crate::model::Pattern;
 use crate::state::DistributedState;
 use crate::symptom::SymptomKind;
 use decos_faults::{FaultClass, FruRef};
@@ -29,7 +30,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A triggered fault pattern.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PatternMatch {
     /// Trigger instant.
     pub at: SimTime,
@@ -37,10 +38,18 @@ pub struct PatternMatch {
     pub fru: FruRef,
     /// The maintenance-oriented fault class the pattern indicates.
     pub class: FaultClass,
-    /// Stable pattern name (which ONA fired).
-    pub pattern: &'static str,
+    /// Which ONA fired.
+    pub pattern: Pattern,
     /// Heuristic confidence in (0, 1].
     pub confidence: f64,
+}
+
+impl PatternMatch {
+    /// A firing of `pattern` indicating the class the pattern table gives
+    /// it.
+    fn of(pattern: Pattern, at: SimTime, fru: FruRef, confidence: f64) -> Self {
+        PatternMatch { at, fru, class: pattern.class(), pattern, confidence }
+    }
 }
 
 /// Tunable parameters of the ONA bank.
@@ -303,14 +312,10 @@ impl OnaBank {
                 })
             });
         if clustered && crc_dominant {
+            let p = Pattern::MassiveTransient;
             for &c in zone.iter() {
-                out.push(PatternMatch {
-                    at: now,
-                    fru: FruRef::Component(NodeId(c as u16)),
-                    class: FaultClass::ComponentExternal,
-                    pattern: "massive-transient",
-                    confidence: 0.9,
-                });
+                let fru = FruRef::Component(NodeId(c as u16));
+                out.push(PatternMatch::of(p, now, fru, p.confidence()));
             }
             self.flush_judgement_window(now);
             return;
@@ -326,13 +331,9 @@ impl OnaBank {
                 *self.window_stub_fail.entry(node).or_insert(false) = true;
                 let declared =
                     self.alpha_stub.get(&node).map(AlphaCount::is_declared).unwrap_or(false);
-                out.push(PatternMatch {
-                    at: now,
-                    fru: FruRef::Component(node),
-                    class: FaultClass::ComponentBorderline,
-                    pattern: "connector",
-                    confidence: if declared { 0.9 } else { 0.55 },
-                });
+                let p = Pattern::Connector;
+                let confidence = if declared { p.confidence() } else { 0.55 };
+                out.push(PatternMatch::of(p, now, FruRef::Component(node), confidence));
             } else if tx_event[c] {
                 *self.window_subject_fail.entry(node).or_insert(false) = true;
                 let declared =
@@ -341,35 +342,24 @@ impl OnaBank {
                 let windows = ds.subject_err_windows(node).map(<[u64]>::len).unwrap_or(0);
                 let wearing = windows >= self.params.wearout_min_windows
                     && trend >= self.params.wearout_slope_min;
-                if declared || wearing {
-                    out.push(PatternMatch {
-                        at: now,
-                        fru: FruRef::Component(node),
-                        class: FaultClass::ComponentInternal,
-                        pattern: if wearing { "wearout" } else { "recurring-internal" },
-                        confidence: if declared && wearing { 0.95 } else { 0.8 },
-                    });
-                } else {
+                let (p, confidence) = match (wearing, declared) {
+                    (true, true) => (Pattern::Wearout, Pattern::Wearout.confidence()),
+                    (true, false) => (Pattern::Wearout, 0.8),
+                    (false, true) => {
+                        (Pattern::RecurringInternal, Pattern::RecurringInternal.confidence())
+                    }
                     // Isolated transient at one location: judged
                     // environmental until recurrence says otherwise.
-                    out.push(PatternMatch {
-                        at: now,
-                        fru: FruRef::Component(node),
-                        class: FaultClass::ComponentExternal,
-                        pattern: "isolated-transient",
-                        confidence: 0.4,
-                    });
-                }
+                    (false, false) => {
+                        (Pattern::IsolatedTransient, Pattern::IsolatedTransient.confidence())
+                    }
+                };
+                out.push(PatternMatch::of(p, now, FruRef::Component(node), confidence));
             } else if rx_event[c] && om_dominant {
                 // Receive path only: connector stub, weaker evidence.
                 *self.window_stub_fail.entry(node).or_insert(false) = true;
-                out.push(PatternMatch {
-                    at: now,
-                    fru: FruRef::Component(node),
-                    class: FaultClass::ComponentBorderline,
-                    pattern: "connector-rx",
-                    confidence: 0.45,
-                });
+                let p = Pattern::ConnectorRx;
+                out.push(PatternMatch::of(p, now, FruRef::Component(node), p.confidence()));
             }
         }
         self.flush_judgement_window(now);
@@ -422,8 +412,8 @@ impl OnaBank {
                     } else {
                         FaultClass::ComponentExternal
                     },
-                    pattern: "oscillator",
-                    confidence: if total >= 3 { 0.85 } else { 0.4 },
+                    pattern: Pattern::Oscillator,
+                    confidence: if total >= 3 { Pattern::Oscillator.confidence() } else { 0.4 },
                 });
             }
         }
@@ -452,13 +442,9 @@ impl OnaBank {
                     // against any job) — the queue dimensioning is wrong.
                     let senders_conform = ds.job_count(j, "value-violation") == 0;
                     if senders_conform {
-                        out.push(PatternMatch {
-                            at: now,
-                            fru: FruRef::Job(j),
-                            class: FaultClass::JobBorderline,
-                            pattern: "configuration",
-                            confidence: (0.5 + 0.05 * *w as f64).min(0.9),
-                        });
+                        let p = Pattern::Configuration;
+                        let confidence = (0.5 + 0.05 * *w as f64).min(p.confidence());
+                        out.push(PatternMatch::of(p, now, FruRef::Job(j), confidence));
                     }
                 }
             }
@@ -505,13 +491,8 @@ impl OnaBank {
                 jobs.iter().filter_map(|j| self.jobs.get(j).map(|f| f.das)).collect();
             if jobs.len() >= 2 && dases.len() >= 2 {
                 cohost_hosts.push(*host);
-                out.push(PatternMatch {
-                    at: now,
-                    fru: FruRef::Component(*host),
-                    class: FaultClass::ComponentInternal,
-                    pattern: "cohost-correlation",
-                    confidence: 0.85,
-                });
+                let p = Pattern::CohostCorrelation;
+                out.push(PatternMatch::of(p, now, FruRef::Component(*host), p.confidence()));
             }
         }
 
@@ -551,8 +532,8 @@ impl OnaBank {
             if events < self.params.job_min_events {
                 continue;
             }
-            let (class, pattern, confidence) = self.classify_job_inherent(j, ds);
-            out.push(PatternMatch { at: now, fru: FruRef::Job(j), class, pattern, confidence });
+            let (p, confidence) = self.classify_job_inherent(j, ds);
+            out.push(PatternMatch::of(p, now, FruRef::Job(j), confidence));
         }
     }
 
@@ -561,17 +542,13 @@ impl OnaBank {
     /// the interface alone with certainty (§III-D); this heuristic encodes
     /// the shapes that are distinguishable: persistent/stuck and monotone
     /// drift point at the transducer, intermittent wrongness at software.
-    fn classify_job_inherent(
-        &mut self,
-        j: JobId,
-        ds: &DistributedState,
-    ) -> (FaultClass, &'static str, f64) {
+    fn classify_job_inherent(&mut self, j: JobId, ds: &DistributedState) -> (Pattern, f64) {
         // Missed messages every round: dead transducer (or crashed job —
         // inspect first).
         let missed = ds.job_count(j, "missed-message");
         let viol = ds.job_count(j, "value-violation");
         if missed > viol.max(3) * 3 {
-            return (FaultClass::JobInherentTransducer, "transducer-dead", 0.75);
+            return (Pattern::TransducerDead, Pattern::TransducerDead.confidence());
         }
 
         if let Some(series) = ds.job_value_series(j) {
@@ -616,19 +593,19 @@ impl OnaBank {
                 };
 
                 if rising && duty > 0.3 {
-                    return (FaultClass::JobInherentTransducer, "transducer-drift", 0.8);
+                    return (Pattern::TransducerDrift, Pattern::TransducerDrift.confidence());
                 }
                 if duty >= self.params.stuck_duty && spread < 1e-6 {
                     // Persistent violation repeating the identical value.
-                    return (FaultClass::JobInherentTransducer, "transducer-stuck", 0.8);
+                    return (Pattern::TransducerStuck, Pattern::TransducerStuck.confidence());
                 }
                 // Intermittent or value-tracking wrongness: software design
                 // fault (Bohrbug if episodic, Heisenbug if sparse).
-                return (FaultClass::JobInherentSoftware, "software-design", 0.7);
+                return (Pattern::SoftwareDesign, Pattern::SoftwareDesign.confidence());
             }
         }
         // Divergence-only evidence with nothing else: software-ish, weak.
-        (FaultClass::JobInherentSoftware, "software-design", 0.5)
+        (Pattern::SoftwareDesign, 0.5)
     }
 }
 
@@ -696,7 +673,7 @@ mod tests {
         let matches = run(faults, 10.0, 4000);
         assert!(!matches.is_empty());
         assert!(
-            matches.iter().any(|m| m.pattern == "massive-transient"),
+            matches.iter().any(|m| m.pattern == Pattern::MassiveTransient),
             "massive transient must fire"
         );
         assert_eq!(
@@ -753,9 +730,9 @@ mod tests {
             dominant_class(&matches, FruRef::Job(fig10::jobs::A1)),
             Some(FaultClass::JobInherentTransducer)
         );
-        assert!(matches
-            .iter()
-            .any(|m| m.fru == FruRef::Job(fig10::jobs::A1) && m.pattern == "transducer-stuck"));
+        assert!(matches.iter().any(
+            |m| m.fru == FruRef::Job(fig10::jobs::A1) && m.pattern == Pattern::TransducerStuck
+        ));
     }
 
     #[test]
@@ -781,7 +758,7 @@ mod tests {
         }];
         let matches = run(faults, 1.0, 4000);
         assert!(
-            matches.iter().any(|m| m.pattern == "cohost-correlation"
+            matches.iter().any(|m| m.pattern == Pattern::CohostCorrelation
                 && m.fru == FruRef::Component(NodeId(0))),
             "correlated job failures on one host must map to component-internal"
         );

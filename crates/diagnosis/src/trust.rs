@@ -215,7 +215,7 @@ mod tests {
             at: SimTime::ZERO,
             fru: FruRef::Component(NodeId(1)),
             class,
-            pattern: "test",
+            pattern: crate::model::Pattern::Wearout,
             confidence,
         }
     }

@@ -19,8 +19,7 @@ use decos::prelude::*;
 use proptest::prelude::*;
 
 fn run_with(c: &Campaign, legacy: bool) -> decos::runner::CampaignOutcome {
-    let opts =
-        RunOptions { telemetry: true, flightrec: true, legacy_paths: legacy, ..Default::default() };
+    let opts = RunOptions { telemetry: true, flightrec: true, legacy_paths: legacy };
     run_campaign_opts(c, EngineParams::default(), opts, &mut [], |_, _, _| {}).unwrap()
 }
 

@@ -207,6 +207,43 @@ proptest! {
     }
 }
 
+/// α-count decays and thresholds from the edges of their domains.
+const ALPHA_EDGES: [f64; 9] =
+    [0.0, 1.0, -1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.5, 0.95, 2.5];
+/// Judgement intervals around the 120-round horizon, 0 included.
+const JUDGEMENT_EDGES: [usize; 7] = [0, 1, 2, 50, 119, 120, 121];
+
+proptest! {
+    #[test]
+    fn ona_params_the_analyzer_accepts_run_without_panic(
+        decay in 0usize..ALPHA_EDGES.len(),
+        threshold in 0usize..ALPHA_EDGES.len(),
+        judgement in 0usize..JUDGEMENT_EDGES.len(),
+    ) {
+        let mut params = EngineParams::default();
+        params.ona.alpha =
+            AlphaParams { decay: ALPHA_EDGES[decay], threshold: ALPHA_EDGES[threshold] };
+        params.ona.judgement_rounds = JUDGEMENT_EDGES[judgement];
+        let fault = FaultSpec {
+            id: 1,
+            kind: FaultKind::IcTransient { rate_per_hour: 9_000.0, duration_ms: 4.0 },
+            target: FruRef::Component(NodeId(1)),
+            onset: SimTime::ZERO,
+        };
+        let c = Campaign::reference(vec![fault], 10.0, 120, 7);
+        let accepted = !c.analyze(&params).has_errors();
+        let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_campaign_opts(&c, params, RunOptions::default(), &mut [], |_, _, _| {}).is_ok()
+        }));
+        prop_assert!(
+            matches!(ran, Ok(ok) if ok == accepted),
+            "{:?}, judgement {}: accepted {accepted}, ran {ran:?}",
+            params.ona.alpha,
+            params.ona.judgement_rounds
+        );
+    }
+}
+
 // ---------------- non-proptest structural invariants ------------------------
 
 #[test]
